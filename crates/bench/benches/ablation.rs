@@ -1,4 +1,5 @@
-//! Ablation benches for the design choices DESIGN.md §5 calls out:
+//! Ablation benches for the design choices the paper argues for (README
+//! § Scale and substitutions):
 //! differential vs single-ended sensing margins, PCSA offset sensitivity,
 //! and integer-threshold folding vs float BatchNorm evaluation.
 
@@ -67,8 +68,8 @@ fn bench_fold_construction(c: &mut Criterion) {
 }
 
 /// Program-verify ablation: reliability and pulse cost of verified vs
-/// unverified programming at high wear (DESIGN.md §5 / paper refs [15,16]
-/// "various programming conditions").
+/// unverified programming at high wear (paper refs [15,16], "various
+/// programming conditions").
 fn bench_program_verify(c: &mut Criterion) {
     let params = DeviceParams::hfo2_default();
     let mut rng = StdRng::seed_from_u64(7);

@@ -6,10 +6,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use rbnn_binary::{BinaryDense, BinaryNetwork};
+use rbnn_graph::ExecPlan;
 use rbnn_rram::{
     DeviceParams, EngineConfig, NetworkEngine, Pcsa, PcsaParams, RramArray, Synapse2T2R,
 };
-use rbnn_tensor::{BitMatrix, BitVec, Tensor};
+use rbnn_tensor::{BitMatrix, BitVec};
 
 fn bench_device_ops(c: &mut Criterion) {
     let params = DeviceParams::hfo2_default();
@@ -76,18 +77,27 @@ fn bench_network_engine(c: &mut Criterion) {
     let xs: Vec<f32> = (0..batch * 2520)
         .map(|_| if rng.gen::<bool>() { 1.0 } else { -1.0 })
         .collect();
-    let features = Tensor::from_vec(xs, [batch, 2520]);
+    let rows: Vec<&[f32]> = xs.chunks(2520).collect();
+    let plan = ExecPlan::compile(&net, batch);
+    let mut buffers = plan.buffers();
+    let mut out = vec![0.0f32; batch * plan.out_features()];
     let mut group = c.benchmark_group("network_engine_batched");
     group.throughput(criterion::Throughput::Elements(batch as u64));
     // Default cap is sequential (1); the second point opts into fan-out.
-    group.bench_function("logits_batch_64", |bench| {
-        bench.iter(|| black_box(engine.logits_batch(&features)))
+    group.bench_function("plan_replay_64", |bench| {
+        bench.iter(|| {
+            engine.replay_plan(&plan, &rows, &mut buffers, &mut out);
+            black_box(&out);
+        })
     });
     // Tile-parallel fan-out (auto thread cap); identical results, lower
     // wall clock on multicore hosts.
     engine.set_parallelism(0);
-    group.bench_function("logits_batch_64_tile_parallel", |bench| {
-        bench.iter(|| black_box(engine.logits_batch(&features)))
+    group.bench_function("plan_replay_64_tile_parallel", |bench| {
+        bench.iter(|| {
+            engine.replay_plan(&plan, &rows, &mut buffers, &mut out);
+            black_box(&out);
+        })
     });
     engine.set_parallelism(1);
     group.finish();

@@ -3,18 +3,19 @@
 //! Two layers of comparison on the paper's ECG classifier shape
 //! (2520 → 80 → 2, Table I):
 //!
-//! * kernel level — `BinaryNetwork::logits` in a loop vs
-//!   `logits_batch` at batch sizes 1/8/64/256 (the amortization of
+//! * kernel level — `BinaryNetwork::logits` in a loop vs a compiled
+//!   `ExecPlan` replay at batch sizes 1/8/64/256 (the amortization of
 //!   threshold folding, bit-packing and weight-row reuse);
-//! * engine level — the Monte-Carlo `NetworkEngine` sequential vs batched
-//!   path at batch 16 (tile bookkeeping amortization; device sampling
-//!   dominates by design).
+//! * engine level — the Monte-Carlo `NetworkEngine` sequential walk vs
+//!   plan replay on the fabric at batch 16 (tile bookkeeping
+//!   amortization; device sampling dominates by design).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use rbnn_binary::{BinaryDense, BinaryNetwork};
+use rbnn_graph::ExecPlan;
 use rbnn_rram::{EngineConfig, NetworkEngine};
 use rbnn_tensor::{BitMatrix, Tensor};
 
@@ -52,8 +53,15 @@ fn bench_software_batch_sizes(c: &mut Criterion) {
                 }
             })
         });
-        group.bench_with_input(BenchmarkId::new("logits_batch", n), &n, |b, _| {
-            b.iter(|| black_box(net.logits_batch(&batch)))
+        let rows: Vec<&[f32]> = batch.as_slice().chunks(2520).collect();
+        let plan = ExecPlan::compile(&net, n);
+        let mut buffers = plan.buffers();
+        let mut out = vec![0.0f32; n * plan.out_features()];
+        group.bench_with_input(BenchmarkId::new("plan_replay", n), &n, |b, _| {
+            b.iter(|| {
+                plan.replay_rows(&rows, &mut buffers, &mut out);
+                black_box(&out);
+            })
         });
     }
     group.finish();
@@ -76,8 +84,15 @@ fn bench_rram_batch(c: &mut Criterion) {
             }
         })
     });
-    group.bench_function("logits_batch_16", |b| {
-        b.iter(|| black_box(engine.logits_batch(&batch)))
+    let rows: Vec<&[f32]> = batch.as_slice().chunks(2520).collect();
+    let plan = ExecPlan::compile(&net, n);
+    let mut buffers = plan.buffers();
+    let mut out = vec![0.0f32; n * plan.out_features()];
+    group.bench_function("plan_replay_16", |b| {
+        b.iter(|| {
+            engine.replay_plan(&plan, &rows, &mut buffers, &mut out);
+            black_box(&out);
+        })
     });
     group.finish();
 }

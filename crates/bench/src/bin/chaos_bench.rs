@@ -206,7 +206,7 @@ fn check_parity(net: &rbnn_binary::BinaryNetwork, reports: &[PatientReport]) -> 
             .take(report.verdicts.len())
             .map(|w| w.features.as_slice())
             .collect();
-        let logits = net.logits_batch_rows(&rows);
+        let logits = rbnn_graph::logits_rows(net, &rows);
         let classes = logits.dim(1);
         for (i, verdict) in report.verdicts.iter().enumerate() {
             let offline_row = &logits.as_slice()[i * classes..(i + 1) * classes];
@@ -306,7 +306,6 @@ fn main() {
     // ---- Phase 1: chaos disarmed — the hook must be invisible. --------
     println!("\nphase 1: injection disabled (bitwise parity vs offline batch):");
     rbnn_serve::fault::disarm_chaos();
-    rbnn_serve::fault::arm_engine_panics(0);
     let base_patients = (patients / 4).max(8);
     let (base_reports, base_fleet) =
         run_fleet(&registry, Backend::Software, base_patients, windows);

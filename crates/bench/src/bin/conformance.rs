@@ -5,8 +5,9 @@
 //! 1. **Differential oracle** — ≥ 25 seeded random paper-family models
 //!    (MLP / ECG / EEG / vision shapes, word-boundary widths, 63/64/65-tap
 //!    kernels), each executed through the float graph, the single-sample
-//!    and batched XNOR/popcount paths, noise-free RRAM sensing, and the
-//!    full `rbnn-serve` enqueue/batcher pipeline on both backends.
+//!    XNOR/popcount oracle, compiled-plan replay (software and RRAM
+//!    fabric), single-sample noise-free RRAM sensing, and the full
+//!    `rbnn-serve` enqueue/batcher pipeline on both backends.
 //!    Noise-free agreement must be bit-for-bit; a deliberately marginal
 //!    fabric is additionally checked against the margin model's
 //!    flip-probability bound.
@@ -58,7 +59,7 @@ fn main() {
 
     println!(
         "\n{:<34} {:>7} {:>6} {:>6} {:>6} {:>6} {:>6} {:>14}",
-        "model", "fl dev", "batch", "plan", "rram", "serve", "noisy", "flips obs/bnd"
+        "model", "fl dev", "float", "plan", "rram", "serve", "noisy", "flips obs/bnd"
     );
     let mut models = Vec::with_capacity(model_count);
     for index in 0..model_count {
@@ -69,13 +70,9 @@ fn main() {
             "{:<34} {:>7.0e} {:>6} {:>6} {:>6} {:>6} {:>6} {:>14}",
             report.model,
             report.max_float_logit_dev,
-            flag(
-                report.batch_bitwise
-                    && report.float_sign_mismatches == 0
-                    && report.float_argmax_mismatches == 0
-            ),
+            flag(report.float_sign_mismatches == 0 && report.float_argmax_mismatches == 0),
             flag(report.plan_bitwise && report.rram_plan_bitwise),
-            flag(report.rram_batch_bitwise && report.rram_single_bitwise),
+            flag(report.rram_single_bitwise),
             flag(report.serve_bitwise.unwrap_or(true) && report.serve_rram_bitwise.unwrap_or(true)),
             flag(noisy.map_or(true, |n| n.within_bound)),
             noisy.map_or_else(String::new, |n| format!(
@@ -87,7 +84,7 @@ fn main() {
     }
     let oracle_ok = models.iter().all(oracle::OracleReport::passed);
     println!(
-        "\noracle: {} models through float/binary/batched/plan/RRAM/serve paths: {}",
+        "\noracle: {} models through float/binary/plan/RRAM/serve paths: {}",
         model_count,
         if oracle_ok { "PASS" } else { "FAIL" }
     );

@@ -14,9 +14,6 @@
 //!
 //! * software backend — with a 4-engine pool on the ECG classifier,
 //!   batch 64 must clear ≥4× the throughput of batch 1, p99 reported;
-//! * executor comparison — the compiled op-graph plan replay (the serving
-//!   default) must clear ≥1.3× the legacy layer path at batch 64 on the
-//!   deployed ECG classifier;
 //! * RRAM backend — margin-gated sensing must hold the deployed ECG
 //!   classifier at ≥2100 samples/s — 50× the ~42 samples/s the ungated
 //!   Monte-Carlo path managed (measured at paper scale, the only scale it
@@ -70,9 +67,6 @@ struct ServeBenchResult {
     task: String,
     points: Vec<OperatingPoint>,
     speedup_batch64_vs_1: f64,
-    /// Graph-executor (compiled plan replay) throughput over the legacy
-    /// layer path, deployed ECG at batch 64.
-    executor_speedup_batch64: f64,
     /// Deployed-model RRAM throughput at batch 64 (margin-gated path).
     rram_deployed_samples_per_s: f64,
     /// Throughput with telemetry globally disabled / enabled (overhead gate).
@@ -88,25 +82,6 @@ struct ServeBenchResult {
 /// measurable before gating) — the deployed model is ~6× smaller, which
 /// only makes the floor more conservative.
 const RRAM_FLOOR_SAMPLES_PER_S: f64 = 2_100.0;
-
-/// Minimum graph-over-legacy executor speedup (deployed ECG, batch 64):
-/// the fused zero-allocation plan replay must buy a real margin over the
-/// layer-by-layer path for the graph default to pay its way.
-const EXECUTOR_SPEEDUP_FLOOR: f64 = 1.3;
-
-/// Runs `f` with the `RBNN_EXECUTOR` override pinned to `mode`, restoring
-/// the previous value afterwards — the executor comparison must measure
-/// both paths even when an outer pin (the CI executor matrix) is active.
-fn with_executor_env<T>(mode: &str, f: impl FnOnce() -> T) -> T {
-    let prev = std::env::var("RBNN_EXECUTOR").ok();
-    std::env::set_var("RBNN_EXECUTOR", mode);
-    let out = f();
-    match prev {
-        Some(v) => std::env::set_var("RBNN_EXECUTOR", v),
-        None => std::env::remove_var("RBNN_EXECUTOR"),
-    }
-    out
-}
 
 /// Drives the server with `clients` pipelined clients submitting
 /// `samples_per_request`-sample windows until each has pushed
@@ -302,47 +277,6 @@ fn main() {
     }
     points.push(merge);
 
-    // Executor comparison: the same batch-64 operating point with the
-    // executor pinned to compiled graph plans, then to the legacy layer
-    // path — through `RBNN_EXECUTOR`, exactly the knob the CI executor
-    // matrix uses, so the comparison measures both paths even under an
-    // outer pin.
-    println!("\nexecutor comparison (deployed ECG, batch 64, software backend):");
-    let graph_point = with_executor_env("graph", || {
-        drive(
-            "graph executor",
-            &deployed,
-            Backend::Software,
-            64,
-            1,
-            workers,
-            clients,
-            samples_per_client,
-        )
-    });
-    print_point(&graph_point);
-    let legacy_point = with_executor_env("legacy", || {
-        drive(
-            "legacy executor",
-            &deployed,
-            Backend::Software,
-            64,
-            1,
-            workers,
-            clients,
-            samples_per_client,
-        )
-    });
-    print_point(&legacy_point);
-    let executor_speedup = graph_point.samples_per_s / legacy_point.samples_per_s;
-    let executor_ok = executor_speedup >= EXECUTOR_SPEEDUP_FLOOR;
-    println!(
-        "graph vs legacy executor: {executor_speedup:.2}× (floor {EXECUTOR_SPEEDUP_FLOOR}×): {}",
-        if executor_ok { "PASS" } else { "FAIL" }
-    );
-    points.push(graph_point);
-    points.push(legacy_point);
-
     println!("\npaper-scale ECG classifier 2520→80→2 (software backend):");
     for batch in [1usize, 64] {
         let p = drive(
@@ -423,12 +357,11 @@ fn main() {
     emit_bench_with_dispatch(
         "serve_bench",
         scale,
-        Some(accepted && rram_accepted && overhead_ok && executor_ok),
+        Some(accepted && rram_accepted && overhead_ok),
         &ServeBenchResult {
             task: "ecg".into(),
             points,
             speedup_batch64_vs_1: speedup,
-            executor_speedup_batch64: executor_speedup,
             rram_deployed_samples_per_s: rram_deployed_64,
             telemetry_disabled_samples_per_s: overhead_disabled,
             telemetry_enabled_samples_per_s: overhead_enabled,
@@ -436,7 +369,7 @@ fn main() {
         },
     );
 
-    if (strict && !(accepted && overhead_ok && executor_ok)) || (rram_strict && !rram_accepted) {
+    if (strict && !(accepted && overhead_ok)) || (rram_strict && !rram_accepted) {
         std::process::exit(1);
     }
 }

@@ -17,7 +17,7 @@
 //! * **latency** — worst per-patient p99 window-to-verdict latency ≤
 //!   250 ms (a monitor must alarm within a beat or two);
 //! * **bitwise parity** — streamed-window logits must equal offline batch
-//!   classification ([`rbnn_binary::BinaryNetwork::logits_batch_rows`])
+//!   classification ([`rbnn_graph::logits_rows`])
 //!   of the same windows bit for bit: chunked ingestion may not change a
 //!   single ulp anywhere in the pipeline.
 //!
@@ -293,7 +293,7 @@ fn check_parity(net: &rbnn_binary::BinaryNetwork, reports: &[PatientReport]) -> 
             .take(report.verdicts.len())
             .map(|w| w.features.as_slice())
             .collect();
-        let logits = net.logits_batch_rows(&rows);
+        let logits = rbnn_graph::logits_rows(net, &rows);
         let classes = logits.dim(1);
         for (i, verdict) in report.verdicts.iter().enumerate() {
             let offline_row = &logits.as_slice()[i * classes..(i + 1) * classes];

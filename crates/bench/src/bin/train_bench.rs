@@ -578,7 +578,7 @@ fn simd_microbench() -> Vec<SimdRow> {
     // Packing: one batch-32 request of deployed-ECG feature rows
     // (32 × 5152, ~660 KB — cache-resident so the timing isolates the
     // kernel rather than DRAM bandwidth), the shape
-    // `BinaryNetwork::logits_batch` packs per serve request.
+    // the plan's pack step runs per serve request.
     let (pack_rows, pack_cols) = (32usize, 5152usize);
     let pack_values = Tensor::randn([pack_rows, pack_cols], 1.0, &mut rng);
     // Popcount: paired bit-vectors long enough to exercise the 16-vector

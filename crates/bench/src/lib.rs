@@ -1,7 +1,7 @@
 //! # rbnn-bench
 //!
 //! Benchmark harness of the rram-bnn reproduction. Each table and figure of
-//! the paper has a dedicated binary (see DESIGN.md §4 for the index):
+//! the paper has a dedicated binary:
 //!
 //! | binary | regenerates |
 //! |---|---|
@@ -143,10 +143,6 @@ pub struct KernelDispatch {
     pub pack: String,
     /// Selected GEMM micro-kernel.
     pub gemm: String,
-    /// Active serve executor mode (`graph`/`legacy`): the config default
-    /// plus the `RBNN_EXECUTOR` override — the CI executor matrix records
-    /// which mode produced a timing artifact.
-    pub executor: String,
 }
 
 impl KernelDispatch {
@@ -159,9 +155,6 @@ impl KernelDispatch {
             popcount: r.popcount.to_string(),
             pack: r.pack.to_string(),
             gemm: r.gemm.to_string(),
-            executor: rbnn_serve::ExecutorMode::active_default()
-                .name()
-                .to_string(),
         }
     }
 }
@@ -307,7 +300,7 @@ pub fn banner(title: &str, scale: RunScale) {
     println!(
         "scale: {}",
         match scale {
-            RunScale::Quick => "--quick (reduced dimensions; see EXPERIMENTS.md)",
+            RunScale::Quick => "--quick (reduced dimensions; see README § Scale and substitutions)",
             RunScale::Full => "--full",
         }
     );

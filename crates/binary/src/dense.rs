@@ -130,71 +130,6 @@ impl BinaryDense {
     pub fn weight_bits(&self) -> usize {
         self.weights.rows() * self.weights.cols()
     }
-
-    /// Batched XNOR-popcounts: row `i` of the result holds the per-neuron
-    /// popcounts for sample `i` of the packed `[N, in_features]` batch.
-    ///
-    /// Bit-for-bit identical to calling [`popcounts`](Self::popcounts) per
-    /// sample; faster because each weight row's words stay hot across the
-    /// whole batch and no per-sample `BitVec` is materialized.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.cols() != in_features()`.
-    pub fn popcounts_batch(&self, x: &BitMatrix) -> Vec<u32> {
-        assert_eq!(x.cols(), self.in_features(), "input width mismatch");
-        let n = x.rows();
-        let out = self.out_features();
-        let bits = self.in_features();
-        let mut counts = vec![0u32; n * out];
-        for r in 0..out {
-            let w = self.weights.row_words(r);
-            for i in 0..n {
-                counts[i * out + r] = rbnn_tensor::xnor_popcount(w, x.row_words(i), bits);
-            }
-        }
-        counts
-    }
-
-    /// Batched hidden-layer forward: `[N, in]` bits to `[N, out]` bits.
-    ///
-    /// Folds the integer thresholds once for the whole batch (the
-    /// single-sample path re-folds them per call).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.cols() != in_features()`.
-    pub fn forward_sign_batch(&self, x: &BitMatrix) -> BitMatrix {
-        let n = x.rows();
-        let out = self.out_features();
-        let thresholds = self.folded_thresholds();
-        let counts = self.popcounts_batch(x);
-        let mut y = BitMatrix::zeros(n, out);
-        for i in 0..n {
-            let row = &counts[i * out..(i + 1) * out];
-            y.set_row_bits(i, |r| thresholds[r].fire(row[r]));
-        }
-        y
-    }
-
-    /// Batched output-layer forward: `[N, in]` bits to `N × out` logits,
-    /// row-major.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.cols() != in_features()`.
-    pub fn forward_affine_batch(&self, x: &BitMatrix) -> Vec<f32> {
-        let n_in = self.in_features() as f32;
-        let out = self.out_features();
-        let counts = self.popcounts_batch(x);
-        let mut logits = Vec::with_capacity(counts.len());
-        for chunk in counts.chunks_exact(out.max(1)) {
-            for (r, &p) in chunk.iter().enumerate() {
-                logits.push(self.scale[r] * (2.0 * p as f32 - n_in) + self.shift[r]);
-            }
-        }
-        logits
-    }
 }
 
 #[cfg(test)]
@@ -280,40 +215,6 @@ mod tests {
         assert_eq!(layer.in_features(), 12);
         assert_eq!(layer.out_features(), 5);
         assert_eq!(layer.weight_bits(), 60);
-    }
-
-    #[test]
-    fn batch_paths_match_single_sample() {
-        let mut rng = StdRng::seed_from_u64(9);
-        for _ in 0..50 {
-            let out = rng.gen_range(1usize..10);
-            let inp = rng.gen_range(1usize..160);
-            let layer = random_layer(out, inp, &mut rng);
-            let n = rng.gen_range(0usize..9);
-            let mut batch = rbnn_tensor::BitMatrix::zeros(n, inp);
-            let singles: Vec<BitVec> = (0..n)
-                .map(|i| {
-                    let x = random_bits(inp, &mut rng);
-                    batch.set_row(i, &x);
-                    x
-                })
-                .collect();
-            let counts = layer.popcounts_batch(&batch);
-            let signs = layer.forward_sign_batch(&batch);
-            let affine = layer.forward_affine_batch(&batch);
-            for (i, x) in singles.iter().enumerate() {
-                assert_eq!(
-                    &counts[i * out..(i + 1) * out],
-                    layer.popcounts(x).as_slice()
-                );
-                assert_eq!(signs.row(i), layer.forward_sign(x), "row {i}");
-                assert_eq!(
-                    &affine[i * out..(i + 1) * out],
-                    layer.forward_affine(x).as_slice(),
-                    "row {i}"
-                );
-            }
-        }
     }
 
     #[test]

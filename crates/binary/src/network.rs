@@ -1,6 +1,6 @@
 //! A deployed multi-layer binarized network.
 
-use rbnn_tensor::{BitMatrix, BitVec, Tensor};
+use rbnn_tensor::BitVec;
 
 use crate::BinaryDense;
 
@@ -8,6 +8,10 @@ use crate::BinaryDense;
 /// binary activations through integer thresholds; the last layer produces
 /// float logits for the argmax (the classifier of the paper's Fig 5
 /// architecture).
+///
+/// Evaluation here is single-sample: it is the scalar oracle every batched
+/// path is checked against. Batched evaluation compiles the network into an
+/// `rbnn_graph::ExecPlan`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BinaryNetwork {
     layers: Vec<BinaryDense>,
@@ -72,8 +76,8 @@ impl BinaryNetwork {
     }
 
     /// Logits for a real-valued feature vector, binarized by sign at the
-    /// input (the hardware's input interface; see DESIGN.md on the
-    /// binarized-classifier deployment).
+    /// input (the hardware's input interface: the deployed binarized
+    /// classifier sees only the signs of the feature extractor's outputs).
     pub fn logits(&self, x: &[f32]) -> Vec<f32> {
         self.logits_bits(&BitVec::from_signs(x))
     }
@@ -81,91 +85,6 @@ impl BinaryNetwork {
     /// Predicted class for a real-valued feature vector.
     pub fn classify(&self, x: &[f32]) -> usize {
         rbnn_tensor::argmax(&self.logits(x))
-    }
-
-    /// Batched logits for an already-binarized `[N, in_features]` batch:
-    /// returns a `[N, out_features]` tensor.
-    ///
-    /// Bit-for-bit identical to [`logits_bits`](Self::logits_bits) per row;
-    /// the batched hidden layers fold thresholds once and keep each weight
-    /// row hot across the batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.cols()` differs from `in_features()`.
-    pub fn logits_batch_bits(&self, x: &BitMatrix) -> Tensor {
-        assert_eq!(x.cols(), self.in_features(), "feature width mismatch");
-        let n = x.rows();
-        let (hidden, last) = self.layers.split_at(self.layers.len() - 1);
-        let mut h = x.clone();
-        for layer in hidden {
-            h = layer.forward_sign_batch(&h);
-        }
-        let logits = last[0].forward_affine_batch(&h);
-        Tensor::from_vec(logits, [n, self.out_features()])
-    }
-
-    /// Batched logits for a real-valued `[N, in_features]` feature matrix,
-    /// sign-binarized at the input interface.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `features` is not 2-D with width `in_features()`.
-    pub fn logits_batch(&self, features: &Tensor) -> Tensor {
-        assert_eq!(features.shape().ndim(), 2, "expected [N, features]");
-        assert_eq!(
-            features.dim(1),
-            self.in_features(),
-            "feature width mismatch"
-        );
-        let n = features.dim(0);
-        let x = BitMatrix::from_signs(features.as_slice(), n, self.in_features());
-        self.logits_batch_bits(&x)
-    }
-
-    /// Batched logits over separate per-sample feature slices (the serving
-    /// path: requests arrive as individual vectors and are packed straight
-    /// into the bit-matrix, with no intermediate concatenation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any slice's length differs from `in_features()`.
-    pub fn logits_batch_rows(&self, rows: &[&[f32]]) -> Tensor {
-        self.logits_batch_bits(&BitMatrix::from_sign_rows(rows, self.in_features()))
-    }
-
-    /// Batched argmax classification of a `[N, in_features]` feature
-    /// matrix.
-    pub fn classify_batch(&self, features: &Tensor) -> Vec<usize> {
-        let logits = self.logits_batch(features);
-        let c = self.out_features();
-        logits
-            .as_slice()
-            .chunks_exact(c.max(1))
-            .map(rbnn_tensor::argmax)
-            .collect()
-    }
-
-    /// Top-1 accuracy over a feature matrix `[N, in_features]`, evaluated
-    /// through the batched kernels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes disagree with the network or label count.
-    pub fn accuracy(&self, features: &Tensor, labels: &[usize]) -> f32 {
-        assert_eq!(features.shape().ndim(), 2, "expected [N, features]");
-        assert_eq!(features.dim(0), labels.len(), "label count mismatch");
-        assert_eq!(
-            features.dim(1),
-            self.in_features(),
-            "feature width mismatch"
-        );
-        if labels.is_empty() {
-            return 0.0;
-        }
-        let preds = self.classify_batch(features);
-        let hits = preds.iter().zip(labels).filter(|(p, y)| p == y).count();
-        hits as f32 / labels.len() as f32
     }
 }
 
@@ -204,60 +123,6 @@ mod tests {
             let cls = net.classify(&x);
             let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
             assert_eq!(logits[cls], max);
-        }
-    }
-
-    #[test]
-    fn accuracy_counts_correctly() {
-        let net = tiny_network();
-        let x = Tensor::from_vec(vec![1.0, 1.0, -1.0, -1.0], &[2, 2]);
-        let preds: Vec<usize> = (0..2)
-            .map(|i| net.classify(&x.as_slice()[i * 2..(i + 1) * 2]))
-            .collect();
-        assert_eq!(net.accuracy(&x, &preds), 1.0);
-        let wrong: Vec<usize> = preds.iter().map(|&p| 1 - p).collect();
-        assert_eq!(net.accuracy(&x, &wrong), 0.0);
-    }
-
-    #[test]
-    fn logits_batch_is_bit_for_bit_single() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(44);
-        // 100 random (network, batch) draws across odd widths, including
-        // word-boundary sizes and an empty batch.
-        for case in 0..100 {
-            let inp = rng.gen_range(1usize..200);
-            let hid = rng.gen_range(1usize..70);
-            let cls = rng.gen_range(2usize..6);
-            let mk = |out: usize, inp: usize, rng: &mut StdRng| {
-                let w: Vec<f32> = (0..out * inp)
-                    .map(|_| if rng.gen::<bool>() { 1.0 } else { -1.0 })
-                    .collect();
-                let scale: Vec<f32> = (0..out).map(|_| rng.gen_range(-2.0..2.0)).collect();
-                let shift: Vec<f32> = (0..out).map(|_| rng.gen_range(-3.0..3.0)).collect();
-                BinaryDense::new(BitMatrix::from_signs(&w, out, inp), scale, shift)
-            };
-            let net = BinaryNetwork::new(vec![mk(hid, inp, &mut rng), mk(cls, hid, &mut rng)]);
-            let n = if case == 0 {
-                0
-            } else {
-                rng.gen_range(1usize..12)
-            };
-            let xs: Vec<f32> = (0..n * inp).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-            let batch = Tensor::from_vec(xs.clone(), [n, inp]);
-            let got = net.logits_batch(&batch);
-            assert_eq!(got.dims(), [n, cls]);
-            let preds = net.classify_batch(&batch);
-            for i in 0..n {
-                let single = net.logits(&xs[i * inp..(i + 1) * inp]);
-                assert_eq!(
-                    &got.as_slice()[i * cls..(i + 1) * cls],
-                    single.as_slice(),
-                    "case {case}, row {i}"
-                );
-                assert_eq!(preds[i], net.classify(&xs[i * inp..(i + 1) * inp]));
-            }
         }
     }
 

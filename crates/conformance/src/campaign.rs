@@ -83,7 +83,7 @@ pub fn ber_sweep(
             for _ in 0..reps {
                 let mut corrupted = network.clone();
                 flips_total += faults::inject_network(&mut corrupted, ber, &mut rng);
-                let preds = corrupted.classify_batch(features);
+                let preds = rbnn_graph::classify_batch(&corrupted, features);
                 correct += preds.iter().zip(labels).filter(|(p, y)| p == y).count() as u64;
             }
             let trials = (reps * labels.len()) as u64;
@@ -357,7 +357,7 @@ impl CampaignReport {
 /// then sweeps the program-verify controller.
 pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
     let (network, features, labels) = trained_network(cfg);
-    let clean_accuracy = network.accuracy(&features, &labels) as f64;
+    let clean_accuracy = rbnn_graph::accuracy(&network, &features, &labels) as f64;
 
     let anchor_ber = endurance::analytic_point(
         &DeviceParams::hfo2_default(),
@@ -458,7 +458,7 @@ mod tests {
         let network = demo_network(&[96, 16, 3], 1);
         let mut rng = StdRng::seed_from_u64(2);
         let features = Tensor::randn([40, 96], 1.0, &mut rng);
-        let labels = network.classify_batch(&features);
+        let labels = rbnn_graph::classify_batch(&network, &features);
         let points = ber_sweep(&network, &features, &labels, &[0.0], 3, 3);
         assert_eq!(points[0].mean_accuracy, 1.0);
         assert_eq!(points[0].mean_flips, 0.0);
@@ -469,7 +469,7 @@ mod tests {
         let network = demo_network(&[256, 32, 4], 4);
         let mut rng = StdRng::seed_from_u64(5);
         let features = Tensor::randn([96, 256], 1.0, &mut rng);
-        let labels = network.classify_batch(&features);
+        let labels = rbnn_graph::classify_batch(&network, &features);
         let points = ber_sweep(&network, &features, &labels, &[1e-4, 0.05, 0.4], 12, 6);
         // Tiny BER barely moves accuracy; heavy BER must hurt it.
         assert!(points[0].mean_accuracy > 0.99, "{:?}", points[0]);

@@ -6,9 +6,9 @@
 //! network survives translation across substrates: float training graph,
 //! XNOR/popcount software inference, and 2T2R RRAM sensing with device
 //! noise — degrading gracefully (not catastrophically) once bit errors
-//! appear. After three PRs of aggressive hot-path rewrites the workspace
-//! has four execution paths for the same model; this crate is the net that
-//! lets the next rewrite proceed without fear:
+//! appear. The workspace runs the same model on several substrates; this
+//! crate is the net that lets the next hot-path rewrite proceed without
+//! fear:
 //!
 //! * [`generate`](mod@generate) — a seeded random **model generator** producing
 //!   paper-family architectures (Dense/Conv1d/Conv2d/BatchNorm/pool stacks
@@ -17,9 +17,10 @@
 //!   straddling the `BitMatrix::conv1d_windows` word-gather fast path, and
 //!   dense widths straddling the 64-bit word boundary;
 //! * [`oracle`] — a **differential oracle** running every generated model
-//!   through the four execution paths — float `rbnn-nn` forward,
-//!   `BinaryNetwork` single-sample, `logits_batch`/`classify_batch`, and
-//!   `NetworkEngine` RRAM sensing — plus the `rbnn-serve`
+//!   through each execution path — float `rbnn-nn` forward, the
+//!   `BinaryNetwork` single-sample oracle, compiled `ExecPlan` replay (in
+//!   software and on the RRAM fabric), and single-sample `NetworkEngine`
+//!   RRAM sensing — plus the `rbnn-serve`
 //!   enqueue/batcher pipeline, asserting bit-level agreement on noise-free
 //!   fabric ([`rbnn_rram::EngineConfig::noise_free`]) and margin-model
 //!   statistical bounds on noisy fabric

@@ -5,26 +5,24 @@
 //! 1. **float** — the `rbnn-nn` training graph in eval phase (the
 //!    reference the classifier was trained as);
 //! 2. **binary single** — [`rbnn_binary::BinaryNetwork::logits`] per
-//!    sample (the integer XNOR/popcount datapath);
-//! 3. **binary batch** — `logits_batch` / `classify_batch` (the packed
-//!    bit-matrix kernels the serving hot path uses);
-//! 4. **RRAM** — [`rbnn_rram::NetworkEngine`] sensing on simulated 2T2R
-//!    arrays, both batched and single-sample;
-//! 5. **plan** — a compiled op-graph [`rbnn_graph::ExecPlan`] replayed
-//!    through the fused packed-word kernels, in software and on the RRAM
-//!    fabric (the serving default; the legacy layer path above is its
-//!    permanent conformance reference);
-//! 6. **serve** — the full `rbnn-serve` enqueue → batcher → worker-pool
+//!    sample (the integer XNOR/popcount datapath): the scalar oracle every
+//!    other binary path is held to;
+//! 3. **plan** — a compiled op-graph [`rbnn_graph::ExecPlan`] replayed
+//!    through the fused packed-word kernels (the workspace's one batched
+//!    path), in software and on the RRAM fabric;
+//! 4. **RRAM single** — [`rbnn_rram::NetworkEngine::logits`] sensing one
+//!    sample at a time on simulated 2T2R arrays;
+//! 5. **serve** — the full `rbnn-serve` enqueue → batcher → worker-pool
 //!    pipeline, on the software backend and on the RRAM backend.
 //!
-//! Agreement contract: paths 2–6 on noise-free fabric
+//! Agreement contract: paths 2–5 on noise-free fabric
 //! ([`rbnn_rram::EngineConfig::noise_free`]) must agree **bit-for-bit**
 //! (`f32::to_bits` equality of every logit — they all compute
 //! `scale·(2·popcount − n) + shift` from identical integer popcounts).
 //! Path 1 computes the same quantities through float BatchNorm in a
 //! different association order, so it is held to sign agreement: every
 //! logit sign and every argmax must match except within a tiny
-//! numerical tie band. A sixth, *noisy* execution programs a
+//! numerical tie band. A sixth, *noisy* execution replays the plan on a
 //! deliberately marginal fabric and checks the observed argmax
 //! disagreements against the margin model's calibrated flip-probability
 //! bound.
@@ -106,14 +104,10 @@ pub struct OracleReport {
     /// Largest |float − binary| logit deviation observed (numerical
     /// reassociation only; recorded, not gated).
     pub max_float_logit_dev: f32,
-    /// Single-sample and batched binary kernels agree bitwise.
-    pub batch_bitwise: bool,
     /// Compiled execution-plan replay (fused packed-word kernels) agrees
-    /// bitwise with the legacy layer path, both at full batch and on a
+    /// bitwise with the single-sample oracle, both at full batch and on a
     /// smaller batch replayed into the same (dirty) plan buffers.
     pub plan_bitwise: bool,
-    /// Noise-free RRAM batch path agrees bitwise with the binary path.
-    pub rram_batch_bitwise: bool,
     /// Noise-free RRAM single-sample path agrees bitwise.
     pub rram_single_bitwise: bool,
     /// Execution-plan replay on the noise-free RRAM fabric
@@ -133,9 +127,7 @@ impl OracleReport {
     pub fn passed(&self) -> bool {
         self.float_sign_mismatches == 0
             && self.float_argmax_mismatches == 0
-            && self.batch_bitwise
             && self.plan_bitwise
-            && self.rram_batch_bitwise
             && self.rram_single_bitwise
             && self.rram_plan_bitwise
             && self.serve_bitwise.unwrap_or(true)
@@ -180,12 +172,9 @@ pub fn check_model(model: &mut GeneratedModel, cfg: &OracleConfig) -> OracleRepo
         );
     }
 
-    // Path 3: binary batched.
-    let batch_logits = model.network.logits_batch(&feats);
-    let batch_preds = model.network.classify_batch(&feats);
-    let batch_bitwise = bits(batch_logits.as_slice()) == bits(&single_logits);
+    let single_preds: Vec<usize> = single_logits.chunks(classes).map(argmax).collect();
 
-    // Path: compiled op-graph execution plan through the fused kernels —
+    // Path 3: compiled op-graph execution plan through the fused kernels —
     // full batch, then a smaller batch into the same dirty buffers (the
     // serve replay pattern).
     let row_refs: Vec<&[f32]> = (0..n)
@@ -195,15 +184,14 @@ pub fn check_model(model: &mut GeneratedModel, cfg: &OracleConfig) -> OracleRepo
     let mut plan_buffers = plan.buffers();
     let mut plan_logits = vec![0.0f32; n * classes];
     plan.replay_rows(&row_refs, &mut plan_buffers, &mut plan_logits);
-    let mut plan_bitwise = bits(&plan_logits) == bits(batch_logits.as_slice());
+    let mut plan_bitwise = bits(&plan_logits) == bits(&single_logits);
     let k = n.min(5);
     plan.replay_rows(
         &row_refs[..k],
         &mut plan_buffers,
         &mut plan_logits[..k * classes],
     );
-    plan_bitwise &=
-        bits(&plan_logits[..k * classes]) == bits(&batch_logits.as_slice()[..k * classes]);
+    plan_bitwise &= bits(&plan_logits[..k * classes]) == bits(&single_logits[..k * classes]);
 
     // Float ↔ binary: sign and argmax agreement outside the tie band.
     let mut float_sign_mismatches = 0usize;
@@ -211,7 +199,7 @@ pub fn check_model(model: &mut GeneratedModel, cfg: &OracleConfig) -> OracleRepo
     let mut max_dev = 0.0f32;
     for i in 0..n {
         let f = &float_logits.as_slice()[i * classes..(i + 1) * classes];
-        let b = &batch_logits.as_slice()[i * classes..(i + 1) * classes];
+        let b = &single_logits[i * classes..(i + 1) * classes];
         for (x, y) in f.iter().zip(b) {
             max_dev = max_dev.max((x - y).abs());
             // A gated sign mismatch requires *both* paths clearly away
@@ -227,7 +215,7 @@ pub fn check_model(model: &mut GeneratedModel, cfg: &OracleConfig) -> OracleRepo
                 float_sign_mismatches += 1;
             }
         }
-        if argmax(f) != batch_preds[i] {
+        if argmax(f) != single_preds[i] {
             // Tolerate only genuine numerical ties between the top two
             // float logits.
             let mut sorted: Vec<f32> = f.to_vec();
@@ -238,11 +226,9 @@ pub fn check_model(model: &mut GeneratedModel, cfg: &OracleConfig) -> OracleRepo
         }
     }
 
-    // Path 4: noise-free RRAM sensing, batched and single-sample.
+    // Path 4: noise-free RRAM sensing, single-sample.
     let engine_cfg = EngineConfig::noise_free(cfg.seed ^ 0x44A5);
     let mut engine = NetworkEngine::program(&model.network, &engine_cfg);
-    let rram_logits = engine.logits_batch(&feats);
-    let rram_batch_bitwise = bits(rram_logits.as_slice()) == bits(batch_logits.as_slice());
     let mut rram_single_bitwise = true;
     for i in 0..n {
         let got = engine.logits(&feats.as_slice()[i * width..(i + 1) * width]);
@@ -260,7 +246,7 @@ pub fn check_model(model: &mut GeneratedModel, cfg: &OracleConfig) -> OracleRepo
         &mut rram_plan_buffers,
         &mut rram_plan_logits,
     );
-    let rram_plan_bitwise = bits(&rram_plan_logits) == bits(batch_logits.as_slice());
+    let rram_plan_bitwise = bits(&rram_plan_logits) == bits(&single_logits);
 
     // Path 5: the serve pipeline (enqueue → batcher → worker pool).
     let (serve_bitwise, serve_rram_bitwise) = if cfg.serve {
@@ -268,14 +254,14 @@ pub fn check_model(model: &mut GeneratedModel, cfg: &OracleConfig) -> OracleRepo
             Some(serve_agrees(
                 model,
                 &feats,
-                &batch_logits,
+                &single_logits,
                 Backend::Software,
                 &engine_cfg,
             )),
             Some(serve_agrees(
                 model,
                 &feats,
-                &batch_logits,
+                &single_logits,
                 Backend::Rram,
                 &engine_cfg,
             )),
@@ -284,18 +270,21 @@ pub fn check_model(model: &mut GeneratedModel, cfg: &OracleConfig) -> OracleRepo
         (None, None)
     };
 
-    // Path 6 (statistical): deliberately marginal fabric vs margin bound.
+    // Path 6 (statistical): the plan replayed on a deliberately marginal
+    // fabric vs the margin bound.
     let noisy = if cfg.noisy {
         let mut noisy_cfg = EngineConfig::test_chip(cfg.seed ^ 0x1707);
         noisy_cfg.device.read_noise = cfg.noisy_read_noise;
         let mut noisy_engine = NetworkEngine::program(&model.network, &noisy_cfg);
         let expected = noisy_engine.expected_flips_per_sample();
         let marginal_cells = noisy_engine.marginal_cells();
-        let preds = noisy_engine.classify_batch(&feats);
-        let observed = preds
-            .iter()
-            .zip(&batch_preds)
-            .filter(|(a, b)| a != b)
+        let mut noisy_logits = vec![0.0f32; n * classes];
+        noisy_engine.replay_plan(&plan, &row_refs, &mut plan_buffers, &mut noisy_logits);
+        let observed = noisy_logits
+            .chunks(classes)
+            .map(argmax)
+            .zip(&single_preds)
+            .filter(|(a, b)| a != *b)
             .count();
         let mean = expected * n as f64;
         let bound = mean + 6.0 * mean.sqrt() + 3.0;
@@ -316,9 +305,7 @@ pub fn check_model(model: &mut GeneratedModel, cfg: &OracleConfig) -> OracleRepo
         float_sign_mismatches,
         float_argmax_mismatches,
         max_float_logit_dev: max_dev,
-        batch_bitwise,
         plan_bitwise,
-        rram_batch_bitwise,
         rram_single_bitwise,
         rram_plan_bitwise,
         serve_bitwise,
@@ -329,17 +316,17 @@ pub fn check_model(model: &mut GeneratedModel, cfg: &OracleConfig) -> OracleRepo
 
 /// Pushes every sample through a freshly started server as pipelined
 /// single-sample `enqueue`s plus one multi-sample window, and compares the
-/// answered logits bitwise against the reference batch.
+/// answered logits bitwise against the reference (row-major oracle logits).
 fn serve_agrees(
     model: &GeneratedModel,
     feats: &Tensor,
-    reference: &Tensor,
+    reference: &[f32],
     backend: Backend,
     engine_cfg: &EngineConfig,
 ) -> bool {
     let n = feats.dim(0);
     let width = feats.dim(1);
-    let classes = reference.dim(1);
+    let classes = model.classes();
     let mut registry = ModelRegistry::new();
     registry.insert(ServeTask::Ecg, model.network.clone(), engine_cfg.clone());
     let server = Server::start(
@@ -367,7 +354,7 @@ fn serve_agrees(
         .collect();
     for (i, p) in pending.into_iter().enumerate() {
         let answer = p.wait().expect("pool answers");
-        let expect = &reference.as_slice()[i * classes..(i + 1) * classes];
+        let expect = &reference[i * classes..(i + 1) * classes];
         if bits(&answer.logits) != bits(expect) || answer.class != argmax(expect) {
             ok = false;
         }
@@ -386,7 +373,7 @@ fn serve_agrees(
         ok = false;
     }
     for (i, answer) in answers.iter().enumerate() {
-        let expect = &reference.as_slice()[i * classes..(i + 1) * classes];
+        let expect = &reference[i * classes..(i + 1) * classes];
         if bits(&answer.logits) != bits(expect) {
             ok = false;
         }
@@ -483,8 +470,8 @@ mod tests {
     fn oracle_detects_a_corrupted_path() {
         // Sanity of the oracle itself: flip one stored weight bit in the
         // deployed network *after* the float reference is fixed and the
-        // four binary paths must still agree with each other, but the
-        // float path must now disagree somewhere — i.e. the oracle's
+        // binary paths must still agree with each other, but the float
+        // path must now disagree somewhere — i.e. the oracle's
         // float↔binary leg has teeth.
         let cfg = OracleConfig {
             samples: 64,
@@ -507,6 +494,6 @@ mod tests {
         );
         // The binary-family paths still agree among themselves (they all
         // execute the same corrupted weights).
-        assert!(corrupted.batch_bitwise && corrupted.rram_batch_bitwise);
+        assert!(corrupted.plan_bitwise && corrupted.rram_plan_bitwise);
     }
 }

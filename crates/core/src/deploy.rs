@@ -76,7 +76,7 @@ pub fn deploy_and_evaluate(
     // 2. Export the classifier to the bit-packed engine.
     let network = export_classifier(&model.classifier)?;
     let (features, labels) = classifier_features(model, data);
-    let exported_accuracy = network.accuracy(&features, &labels);
+    let exported_accuracy = rbnn_graph::accuracy(&network, &features, &labels);
 
     // 3. Program physical arrays and evaluate, fresh and worn.
     let mut engine = NetworkEngine::program(&network, engine_cfg);
@@ -110,7 +110,7 @@ pub fn accuracy_under_ber(
         .map(|_| {
             let mut corrupted = network.clone();
             faults::inject_network(&mut corrupted, ber, &mut rng);
-            corrupted.accuracy(features, labels)
+            rbnn_graph::accuracy(&corrupted, features, labels)
         })
         .collect();
     metrics::mean_std(&accs)

@@ -22,7 +22,7 @@ pub struct CvRunConfig {
     /// Independent repeats with fresh initialization (the paper uses 5).
     pub repeats: usize,
     /// Training epochs (the paper uses 1000; quick runs use tens — see
-    /// EXPERIMENTS.md for the scaling notes).
+    /// README § Scale and substitutions).
     pub epochs: usize,
     /// Mini-batch size.
     pub batch_size: usize,

@@ -137,7 +137,7 @@ pub fn run(task: Task, cfg: &BerSweepConfig) -> BerSweepResult {
 
     let network = export_classifier(&model.classifier).expect("binarized classifier");
     let (features, labels) = classifier_features(&mut model, &val_ds);
-    let clean_accuracy = network.accuracy(&features, &labels);
+    let clean_accuracy = rbnn_graph::accuracy(&network, &features, &labels);
 
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let points = cfg

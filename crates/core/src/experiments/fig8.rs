@@ -6,7 +6,8 @@
 //! the binarized two-layer classifier matches the real single-layer one
 //! (70.6% vs 70% top-1) while full binarization degrades badly (54.4%).
 //! Here the same comparison runs on the laptop-scale MobileNet and the
-//! 16-class synthetic vision set (DESIGN.md §2 documents the substitution).
+//! 16-class synthetic vision set (`rbnn_data::vision` documents the
+//! substitution).
 
 use std::fmt;
 

@@ -3,7 +3,8 @@
 //! Every experiment produces a serializable result struct with a `Display`
 //! rendering shaped like the paper's table/figure data, so the `rbnn-bench`
 //! binaries can print the human-readable form and archive the JSON form.
-//! See DESIGN.md §4 for the experiment index.
+//! The README's "Paper experiments" section maps each module to its bench
+//! binary.
 
 pub mod cv;
 pub mod ext_ber;

@@ -117,7 +117,8 @@ fn to_row(m: &MemoryBreakdown) -> Table4Row {
         Some(
             "Table II's printed shapes imply a 0.39M-parameter classifier; the paper's \
              Table IV prints 0.27M/0.31M. We compute from Table II as printed — the \
-             savings landscape is unchanged (classifier still dominates). See DESIGN.md §4."
+             savings landscape is unchanged (classifier still dominates). See README \
+             § Scale and substitutions."
                 .to_string(),
         )
     } else {

@@ -22,21 +22,20 @@
 //!    policy → a pool of worker threads, each owning its own engine
 //!    replica (software XNOR/popcount or Monte-Carlo RRAM), replays a
 //!    compiled `rbnn-graph` execution plan — fused packed-word kernels,
-//!    zero per-request allocation; the legacy layer-by-layer path stays
-//!    available as the conformance reference — → responses return
-//!    through per-request channels
+//!    zero per-request allocation, the workspace's only batched path — →
+//!    responses return through per-request channels
 //!    while `ServerStats` tracks throughput, p50/p95/p99 latency, queue
 //!    depth and per-replica array counters. See `examples/serving.rs` and
 //!    `serve_bench` for the end-to-end flow.
-//! 4. **Conformance**: the same deployed model runs on five substrates —
-//!    float graph, single-sample XNOR/popcount, batched bit-matrix
-//!    kernels, compiled `rbnn-graph` plan replay (software and
-//!    RRAM-fabric), and the simulated RRAM engine — and `rbnn-conformance`
+//! 4. **Conformance**: the same deployed model runs on four substrates —
+//!    float graph, the single-sample XNOR/popcount oracle, compiled
+//!    `rbnn-graph` plan replay (software and RRAM-fabric), and the
+//!    simulated RRAM engine — and `rbnn-conformance`
 //!    keeps them honest: a seeded generator draws paper-family models
 //!    (edge shapes included: 1-channel signals, odd lengths, 63/64/65-tap
 //!    kernels, word-boundary widths, fused-chain boundary walks), a
 //!    differential oracle asserts
-//!    bit-for-bit agreement across all five paths and the serving
+//!    bit-for-bit agreement across every binary path and the serving
 //!    pipeline on noise-free fabric (margin-model statistical bounds on
 //!    noisy fabric), and a fault campaign gates the paper's
 //!    bit-error-tolerance anchor. One command:
@@ -55,7 +54,8 @@
 //!    real-time patients in CI. See `examples/continuous_monitoring.rs`.
 //!
 //! The [`deploy`] module is the end-to-end chain; [`experiments`] holds one
-//! module per table/figure (see DESIGN.md §4 for the index); [`tasks`]
+//! module per table/figure (the README's "Paper experiments" section maps
+//! each to its bench binary); [`tasks`]
 //! couples datasets with matched architectures at laptop (`Quick`) or
 //! paper (`Paper`) scale.
 //!

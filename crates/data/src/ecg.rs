@@ -218,7 +218,8 @@ impl EcgConfig {
 
     /// Laptop-scale configuration: 480 trials of 250 samples (1 s), the
     /// three limb reversals plus V1↔V2, and noise raised so the task does
-    /// not saturate at reduced training budgets (see EXPERIMENTS.md).
+    /// not saturate at reduced training budgets (see README § Scale and
+    /// substitutions).
     pub fn reduced() -> Self {
         Self {
             trials: 480,

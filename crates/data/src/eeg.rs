@@ -76,7 +76,7 @@ impl EegConfig {
     /// depth / noise pair is calibrated so the reduced task separates the
     /// three precision strategies the way the paper's full-scale task does
     /// (real ≈ bin-classifier ≫ 1× BNN, recovered by filter augmentation);
-    /// see EXPERIMENTS.md.
+    /// see README § Scale and substitutions.
     pub fn reduced() -> Self {
         Self {
             subjects: 6,

@@ -8,7 +8,7 @@
 //! ECG electrode-inversion set, and ImageNet). Each is replaced by a
 //! physically structured synthetic generator that preserves the *mechanism*
 //! the classifier must learn — see the module docs of [`eeg`], [`ecg`] and
-//! [`vision`] and DESIGN.md §2 for the substitution rationale.
+//! [`vision`] for the substitution rationale.
 //!
 //! [`Dataset`] implements the paper's evaluation protocol: per-channel
 //! normalization, Gaussian noise augmentation and five-fold

@@ -10,12 +10,12 @@
 //! operation is permitted between a request arriving and its logits being
 //! written.
 //!
-//! Replay is bitwise-equal to the legacy layer-by-layer path by
-//! construction: packing uses the same dispatched sign-pack kernel,
-//! popcounts the same dispatched XNOR-popcount kernel, hidden activations
-//! the same [`FoldedThreshold::fire`] comparison, and logits the same
-//! `scale · (2p − n) + shift` float expression evaluated in the same
-//! per-sample, ascending-neuron order.
+//! Replay is bitwise-equal to the single-sample scalar oracle
+//! ([`BinaryNetwork::logits`]) by construction: packing uses the same
+//! dispatched sign-pack kernel, popcounts the same dispatched XNOR-popcount
+//! kernel, hidden activations the same [`FoldedThreshold::fire`]
+//! comparison, and logits the same `scale · (2p − n) + shift` float
+//! expression evaluated in the same per-sample, ascending-neuron order.
 
 use crate::fuse::{fuse, FusedOp};
 use crate::graph::lower;
@@ -283,7 +283,7 @@ impl ExecPlan {
     ///
     /// Allocation-free: everything lives in `buffers` and `out`
     /// (`analysis.toml` zero-alloc zone). Bitwise-equal to
-    /// [`BinaryNetwork::logits_batch`] on the same rows.
+    /// [`BinaryNetwork::logits`] on every row.
     ///
     /// # Panics
     ///
@@ -329,8 +329,8 @@ impl ExecPlan {
 }
 
 /// Packs each float row's sign bits into its row of `dst`, via the same
-/// runtime-dispatched kernel [`rbnn_tensor::BitMatrix::from_sign_rows`]
-/// uses — bit-identical words.
+/// runtime-dispatched kernel [`rbnn_tensor::BitVec::from_signs`] uses —
+/// bit-identical words.
 ///
 /// # Panics
 ///
@@ -383,8 +383,8 @@ fn fused_hidden(
 
 /// Fused output-layer kernel: one batched XNOR-popcount sweep of the class
 /// rows per sample, then `scale[r] · (2p − n_in) + shift[r]` — the exact
-/// float expression, evaluation order included, of the legacy
-/// `forward_affine_batch`, so logits match it bit for bit.
+/// float expression, evaluation order included, of the scalar oracle's
+/// `BinaryDense::forward_affine`, so logits match it bit for bit.
 #[allow(clippy::too_many_arguments)]
 fn fused_logits(
     weights: &InterleavedRows,
@@ -509,11 +509,15 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// The scalar oracle's logits for every row, concatenated.
+    fn oracle(net: &BinaryNetwork, rows: &[Vec<f32>]) -> Vec<f32> {
+        rows.iter().flat_map(|r| net.logits(r)).collect()
+    }
+
     fn assert_parity(dims: &[usize], n: usize, seed: u64) {
         let net = random_net(dims, seed);
         let rows = random_rows(n, dims[0], seed ^ 0xFEED);
         let refs: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
-        let legacy = net.logits_batch_rows(&refs);
 
         let plan = ExecPlan::compile(&net, n.max(1));
         let mut buffers = plan.buffers();
@@ -521,13 +525,13 @@ mod tests {
         plan.replay_rows(&refs, &mut buffers, &mut out);
         assert_eq!(
             bits(&out),
-            bits(legacy.as_slice()),
-            "plan replay diverged from legacy path on dims {dims:?}"
+            bits(&oracle(&net, &rows)),
+            "plan replay diverged from the scalar oracle on dims {dims:?}"
         );
     }
 
     #[test]
-    fn replay_is_bitwise_equal_to_legacy_at_every_edge_width() {
+    fn replay_is_bitwise_equal_to_the_oracle_at_every_edge_width() {
         for (i, dims) in [
             vec![63, 64, 2],
             vec![64, 65, 127, 3],
@@ -565,8 +569,7 @@ mod tests {
             let refs: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
             let mut out = vec![0.0f32; n * 3];
             plan.replay_rows(&refs, &mut buffers, &mut out);
-            let legacy = net.logits_batch_rows(&refs);
-            assert_eq!(bits(&out), bits(legacy.as_slice()), "batch {n}");
+            assert_eq!(bits(&out), bits(&oracle(&net, &rows)), "batch {n}");
         }
     }
 

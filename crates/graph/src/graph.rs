@@ -1,10 +1,10 @@
 //! Lowering: an explicit op graph for a deployed binarized network.
 //!
-//! The graph makes the stages the legacy `Layer` path executes implicitly
-//! — and the tensors it materializes between them — explicit, so the fusion
-//! pass ([`crate::fuse`]) can reason about which values are genuinely live
-//! and which exist only because the layer-by-layer API had no way to stream
-//! one stage into the next.
+//! The graph makes the stages the layer-by-layer `BinaryNetwork` walk
+//! executes implicitly — and the tensors it materializes between them —
+//! explicit, so the fusion pass ([`crate::fuse`]) can reason about which
+//! values are genuinely live and which exist only because a layer-by-layer
+//! API has no way to stream one stage into the next.
 
 use rbnn_binary::{export_classifier, BinaryNetwork, ExportError};
 use rbnn_nn::Sequential;
@@ -111,8 +111,8 @@ impl OpGraph {
     }
 }
 
-/// Lowers a deployed [`BinaryNetwork`] into the explicit op graph the
-/// legacy path executes implicitly: `PackInput`, then per hidden layer
+/// Lowers a deployed [`BinaryNetwork`] into the explicit op graph its
+/// single-sample walk executes implicitly: `PackInput`, then per hidden layer
 /// `XnorPopcount → Threshold → SignPack`, then `XnorPopcount → Affine` for
 /// the output layer.
 ///
@@ -234,7 +234,7 @@ mod tests {
     }
 
     #[test]
-    fn lowering_emits_the_legacy_stage_sequence() {
+    fn lowering_emits_the_layer_stage_sequence() {
         let g = lower(&net(&[65, 33, 4]));
         let ops: Vec<Op> = g.nodes().iter().map(|n| n.op).collect();
         assert_eq!(

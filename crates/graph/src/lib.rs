@@ -13,7 +13,7 @@
 //! 1. **Lowering** ([`lower`] / [`lower_sequential`]) — the model becomes an
 //!    explicit [`OpGraph`] of primitive ops (`PackInput`, `XnorPopcount`,
 //!    `Threshold`, `SignPack`, `Affine`) over typed values, exactly the
-//!    stages the legacy `Layer` path materializes between.
+//!    stages the single-sample `BinaryNetwork::logits` walk computes.
 //! 2. **Fusion** ([`fuse`]) — adjacent `XnorPopcount → Threshold → SignPack`
 //!    runs collapse into one [`FusedOp::FusedHidden`] and the final
 //!    `XnorPopcount → Affine` into [`FusedOp::FusedLogits`]; after fusion the
@@ -29,11 +29,18 @@
 //!    `rbnn-tensor` kernels into caller-provided buffers. The replay path is
 //!    a zero-alloc zone enforced by `analysis.toml` (RA0005).
 //!
-//! Bitwise parity with the legacy layer-by-layer path is by construction —
-//! fusion changes loop order and materialization, never arithmetic — and is
-//! locked by the conformance oracle's fifth path (`plan_bitwise`), which
-//! replays every generated model through an `ExecPlan` and requires
-//! bit-for-bit equality with `BinaryNetwork::logits_batch`.
+//! The plan is the workspace's only batched inference path: serve workers
+//! and the RRAM fabric replay it per batch, and offline callers evaluate
+//! whole feature matrices through the one-shot [`logits_batch`] /
+//! [`classify_batch`] / [`accuracy`] helpers, which compile a plan and
+//! replay it in chunks.
+//!
+//! Bitwise parity with the single-sample scalar oracle
+//! (`BinaryNetwork::logits`) is by construction — fusion changes loop order
+//! and materialization, never arithmetic — and is locked by the
+//! conformance oracle's plan path (`plan_bitwise`), which replays every
+//! generated model through an `ExecPlan` and requires bit-for-bit equality
+//! with the oracle.
 //!
 //! ```
 //! use rbnn_binary::BinaryNetwork;
@@ -55,11 +62,13 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod batch;
 mod exec;
 mod fuse;
 mod graph;
 mod plan;
 
+pub use batch::{accuracy, classify_batch, logits_batch, logits_rows};
 pub use exec::{pack_rows, threshold_pack_row, ExecPlan, PlanBuffers, Region, Step};
 pub use fuse::{fuse, FusedGraph, FusedOp, FusedStep};
 pub use graph::{lower, lower_sequential, Node, Op, OpGraph, ValueInfo, ValueKind};

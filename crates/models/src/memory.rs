@@ -14,7 +14,7 @@
 //! Note on the ECG row: Table II's shapes imply a classifier of
 //! 5152·75 + 75 + 152 ≈ 0.39 M parameters, while Table IV prints 0.27 M
 //! classifier / 0.31 M total. We compute from Table II as printed and
-//! surface both numbers; see DESIGN.md §4.
+//! surface both numbers; see README § Scale and substitutions.
 
 use crate::mobilenet::MobileNetConfig;
 
@@ -165,7 +165,7 @@ mod tests {
         assert_eq!(m.classifier_params, 386_627);
         // The paper's Table IV prints 0.27 M classifier / 0.31 M total,
         // inconsistent with Table II; we verify the printed-architecture
-        // arithmetic and let the bench surface both (DESIGN.md §4).
+        // arithmetic and let the bench surface both.
         assert_eq!(m.total_params(), 424_547);
         // The qualitative claim survives: classifier dominates (>84% of
         // memory saved by binarizing it vs 32-bit model).

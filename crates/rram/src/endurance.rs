@@ -9,8 +9,8 @@
 //! Monte-Carlo samples program/read trials at each checkpoint. Because BERs
 //! below ~10⁻⁶ need prohibitively many trials, closed-form tail
 //! probabilities of the same device model are provided alongside
-//! ([`analytic_point`]); the bench prints both and EXPERIMENTS.md compares
-//! the curves against the paper's.
+//! ([`analytic_point`]); the `fig4_ber` bench prints both, and the
+//! `paper_numbers` integration test pins the anchors against the paper's.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

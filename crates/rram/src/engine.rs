@@ -357,14 +357,6 @@ impl DenseEngine {
         self.affine_of(&counts)
     }
 
-    /// Batched affine outputs, one logit vector per input.
-    pub fn forward_affine_batch(&mut self, xs: &[BitVec]) -> Vec<Vec<f32>> {
-        self.popcounts_batch(xs)
-            .iter()
-            .map(|counts| self.affine_of(counts))
-            .collect()
-    }
-
     fn affine_of(&self, counts: &[u32]) -> Vec<f32> {
         let n = self.in_features as f32;
         counts
@@ -379,16 +371,21 @@ impl DenseEngine {
         self.forward_affine(x).iter().map(|&v| v >= 0.0).collect()
     }
 
-    /// Batched binary outputs.
+    /// Batched binary outputs: one batched tile sweep, then the sign of
+    /// each sample's affine outputs.
     pub fn forward_sign_batch(&mut self, xs: &[BitVec]) -> Vec<BitVec> {
-        self.forward_affine_batch(xs)
+        self.popcounts_batch(xs)
             .iter()
-            .map(|row| row.iter().map(|&v| v >= 0.0).collect())
+            .map(|counts| self.affine_of(counts).iter().map(|&v| v >= 0.0).collect())
             .collect()
     }
 }
 
 /// A whole deployed classifier running in simulated RRAM.
+///
+/// [`logits`](Self::logits) walks one sample layer by layer (the engine's
+/// scalar oracle); batches replay a compiled `rbnn_graph::ExecPlan` through
+/// [`replay_plan`](Self::replay_plan).
 #[derive(Debug)]
 pub struct NetworkEngine {
     layers: Vec<DenseEngine>,
@@ -525,64 +522,13 @@ impl NetworkEngine {
         out
     }
 
-    /// Batched logits for a `[N, in]` feature matrix: returns a
-    /// `[N, out]` tensor. Each sample still performs its own Monte-Carlo
-    /// PCSA senses; only the tile bookkeeping is shared (see
-    /// [`DenseEngine::popcounts_batch`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `features` is not 2-D with the network's input width.
-    pub fn logits_batch(&mut self, features: &Tensor) -> Tensor {
-        assert_eq!(features.shape().ndim(), 2, "expected [N, features]");
-        let n = features.dim(0);
-        let f = features.dim(1);
-        let xs = features.as_slice();
-        let rows: Vec<&[f32]> = (0..n).map(|i| &xs[i * f..(i + 1) * f]).collect();
-        self.logits_batch_rows(&rows)
-    }
-
-    /// Batched logits over separate per-sample feature slices (serving
-    /// path; see [`rbnn_binary::BinaryNetwork::logits_batch_rows`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any slice's length differs from the network input width.
-    pub fn logits_batch_rows(&mut self, rows: &[&[f32]]) -> Tensor {
-        let before = rbnn_telemetry::enabled().then(|| self.stats().senses);
-        let n = rows.len();
-        let mut h: Vec<BitVec> = rows.iter().map(|r| BitVec::from_signs(r)).collect();
-        let depth = self.layers.len();
-        for l in &mut self.layers[..depth - 1] {
-            h = l.forward_sign_batch(&h);
-        }
-        let logits = self.layers[depth - 1].forward_affine_batch(&h);
-        let out = self.layers[depth - 1].out_features();
-        let result = Tensor::from_vec(logits.into_iter().flatten().collect(), [n, out]);
-        if let Some(b) = before {
-            record_fabric_senses(self.stats().senses - b);
-        }
-        result
-    }
-
-    /// Batched argmax classification of a `[N, in]` feature matrix.
-    pub fn classify_batch(&mut self, features: &Tensor) -> Vec<usize> {
-        let logits = self.logits_batch(features);
-        let out = logits.dim(1);
-        logits
-            .as_slice()
-            .chunks_exact(out.max(1))
-            .map(rbnn_tensor::argmax)
-            .collect()
-    }
-
     /// Predicted class.
     pub fn classify(&mut self, x: &[f32]) -> usize {
         rbnn_tensor::argmax(&self.logits(x))
     }
 
     /// Top-1 accuracy over a feature matrix `[N, in]` — the hardware
-    /// counterpart of [`BinaryNetwork::accuracy`].
+    /// counterpart of `rbnn_graph::accuracy`, one sample at a time.
     pub fn accuracy(&mut self, features: &Tensor, labels: &[usize]) -> f32 {
         assert_eq!(features.dim(0), labels.len(), "label count mismatch");
         if labels.is_empty() {
@@ -596,19 +542,6 @@ impl NetworkEngine {
                 hits += 1;
             }
         }
-        hits as f32 / labels.len() as f32
-    }
-
-    /// Top-1 accuracy through the batched kernels. Monte-Carlo draws occur
-    /// in a different order than [`accuracy`](Self::accuracy), so results
-    /// are statistically — not bit-for-bit — equivalent.
-    pub fn accuracy_batch(&mut self, features: &Tensor, labels: &[usize]) -> f32 {
-        assert_eq!(features.dim(0), labels.len(), "label count mismatch");
-        if labels.is_empty() {
-            return 0.0;
-        }
-        let preds = self.classify_batch(features);
-        let hits = preds.iter().zip(labels).filter(|(p, y)| p == y).count();
         hits as f32 / labels.len() as f32
     }
 }
@@ -642,6 +575,17 @@ mod tests {
         let l1 = mk(40, 70, &mut flip); // forces 2×3 tiling on 32×32 arrays
         let l2 = mk(4, 40, &mut flip);
         BinaryNetwork::new(vec![l1, l2])
+    }
+
+    /// Batched logits of the `[N, 70]` row-major `xs` through a plan
+    /// replayed on `engine` — the engine's one batched path.
+    fn replay(engine: &mut NetworkEngine, net: &BinaryNetwork, xs: &[f32]) -> Vec<f32> {
+        let rows: Vec<&[f32]> = xs.chunks(70).collect();
+        let plan = rbnn_graph::ExecPlan::compile(net, rows.len().max(1));
+        let mut buffers = plan.buffers();
+        let mut out = vec![0.0; rows.len() * net.out_features()];
+        engine.replay_plan(&plan, &rows, &mut buffers, &mut out);
+        out
     }
 
     #[test]
@@ -722,9 +666,8 @@ mod tests {
     #[test]
     fn batched_engine_matches_software_network_exactly_when_fresh() {
         // On fresh devices every sense resolves correctly, so the batched
-        // path must agree bit-for-bit with the software network (and hence
-        // with the sequential engine path) despite different RNG draw
-        // order.
+        // plan replay must agree with the software network (and hence with
+        // the sequential engine path) despite a different RNG draw order.
         let mut rng = engine_rng(4);
         let net = random_network(&mut rng);
         let cfg = EngineConfig::test_chip(11);
@@ -733,17 +676,16 @@ mod tests {
             let xs: Vec<f32> = (0..n * 70)
                 .map(|_| if rng.gen::<bool>() { 1.0 } else { -1.0 })
                 .collect();
-            let features = Tensor::from_vec(xs.clone(), [n, 70]);
-            let hw = engine.logits_batch(&features);
-            assert_eq!(hw.dims(), [n, 4]);
-            let sw = net.logits_batch(&features);
-            for (h, s) in hw.as_slice().iter().zip(sw.as_slice()) {
-                assert!((h - s).abs() < 1e-3, "batch {n}: hw {h} vs sw {s}");
+            let hw = replay(&mut engine, &net, &xs);
+            assert_eq!(hw.len(), n * 4);
+            for (i, row) in xs.chunks(70).enumerate() {
+                let sw = net.logits(row);
+                let hw_row = &hw[i * 4..(i + 1) * 4];
+                for (h, s) in hw_row.iter().zip(&sw) {
+                    assert!((h - s).abs() < 1e-3, "batch {n}: hw {h} vs sw {s}");
+                }
+                assert_eq!(rbnn_tensor::argmax(hw_row), net.classify(row));
             }
-            assert_eq!(
-                engine.classify_batch(&features),
-                net.classify_batch(&features)
-            );
         }
     }
 
@@ -760,11 +702,10 @@ mod tests {
         let xs: Vec<f32> = (0..n * 70)
             .map(|_| if rng.gen::<bool>() { 1.0 } else { -1.0 })
             .collect();
-        let features = Tensor::from_vec(xs.clone(), [n, 70]);
         for i in 0..n {
             let _ = seq.logits(&xs[i * 70..(i + 1) * 70]);
         }
-        let _ = bat.logits_batch(&features);
+        let _ = replay(&mut bat, &net, &xs);
         assert_eq!(seq.stats().senses, bat.stats().senses);
         assert_eq!(seq.stats().programs, bat.stats().programs);
     }
@@ -779,7 +720,6 @@ mod tests {
         let xs: Vec<f32> = (0..9 * 70)
             .map(|_| if rng.gen::<bool>() { 1.0 } else { -1.0 })
             .collect();
-        let features = Tensor::from_vec(xs, [9, 70]);
         // Heavy read noise puts most cells inside the ±6σ marginal band,
         // so the workers actively consume their per-tile RNG streams.
         let mut cfg = EngineConfig::test_chip(14);
@@ -791,14 +731,13 @@ mod tests {
             for l in engine.layers() {
                 assert_eq!(l.parallelism(), threads, "cap must propagate");
             }
-            engine.logits_batch(&features)
+            replay(&mut engine, &net, &xs)
         };
         let serial = run(1);
         for threads in [2usize, 0] {
-            let parallel = run(threads);
             assert_eq!(
-                serial.as_slice(),
-                parallel.as_slice(),
+                serial,
+                run(threads),
                 "threads={threads} diverged from serial"
             );
         }
@@ -837,10 +776,16 @@ mod tests {
             labels.push(net.classify(&x));
             xs.extend_from_slice(&x);
         }
-        let features = Tensor::from_vec(xs, [n, 70]);
+        let features = Tensor::from_vec(xs.clone(), [n, 70]);
         engine.set_cycles(500_000_000);
         let seq = engine.accuracy(&features, &labels);
-        let bat = engine.accuracy_batch(&features, &labels);
+        let logits = replay(&mut engine, &net, &xs);
+        let hits = logits
+            .chunks(4)
+            .zip(&labels)
+            .filter(|(row, &y)| rbnn_tensor::argmax(row) == y)
+            .count();
+        let bat = hits as f32 / n as f32;
         assert!(
             (seq - bat).abs() < 0.15,
             "sequential {seq} vs batched {bat} drifted beyond statistical band"

@@ -4,8 +4,8 @@
 //! BNN accuracy degrades gracefully under rare weight bit flips once 2T2R
 //! sensing has pushed the BER down. This module injects i.i.d. bit flips at
 //! a chosen BER into packed weight matrices or whole deployed networks so
-//! the accuracy-vs-BER relation can be swept (the extension experiment of
-//! DESIGN.md, after refs \[15\], \[16\]).
+//! the accuracy-vs-BER relation can be swept (the `ext_ber_accuracy`
+//! extension experiment, after refs \[15\], \[16\]).
 
 use rand::Rng;
 

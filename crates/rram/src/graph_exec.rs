@@ -15,11 +15,12 @@
 //! sense, thresholds fire in the periphery, packed words flow to the next
 //! array group.
 //!
-//! On noise-free fabric the replay is bitwise-equal to both the legacy
-//! [`logits_batch_rows`](NetworkEngine::logits_batch_rows) path and the
-//! software [`ExecPlan::replay_rows`](rbnn_graph::ExecPlan::replay_rows):
-//! identical tile sweep order (hence identical per-array RNG streams),
-//! identical threshold folds, identical affine float expression.
+//! On noise-free fabric the replay is bitwise-equal to both the engine's
+//! single-sample [`logits`](NetworkEngine::logits) walk and the software
+//! [`ExecPlan::replay_rows`](rbnn_graph::ExecPlan::replay_rows), and it
+//! fires exactly as many senses as the single-sample walk: identical
+//! threshold folds, identical affine float expression, one sense per
+//! tile row per sample.
 
 use crate::engine::{record_fabric_senses, NetworkEngine};
 use rbnn_graph::{pack_rows, threshold_pack_row, ExecPlan, PlanBuffers, Step};
@@ -32,9 +33,8 @@ impl NetworkEngine {
     ///
     /// The plan must have been compiled from the same network this engine
     /// was programmed with (checked by layer count and widths). Sensing is
-    /// Monte-Carlo on marginal cells exactly as in the legacy path; on
-    /// noise-free fabric the result equals
-    /// [`logits_batch_rows`](Self::logits_batch_rows) bit for bit.
+    /// Monte-Carlo on marginal cells exactly as in [`logits`](Self::logits);
+    /// on noise-free fabric the result equals it bit for bit, row by row.
     ///
     /// # Panics
     ///
@@ -154,14 +154,14 @@ mod tests {
     }
 
     #[test]
-    fn plan_replay_matches_legacy_engine_path_on_noise_free_fabric() {
+    fn plan_replay_matches_single_sample_engine_walk_on_noise_free_fabric() {
         let network = net(&[65, 63, 127, 4], 0x11);
         let cfg = EngineConfig::noise_free(0x5EED);
         let batch = rows(6, 65, 0x77);
         let refs: Vec<&[f32]> = batch.iter().map(|r| r.as_slice()).collect();
 
-        let mut legacy_engine = NetworkEngine::program(&network, &cfg);
-        let legacy = legacy_engine.logits_batch_rows(&refs);
+        let mut single_engine = NetworkEngine::program(&network, &cfg);
+        let single: Vec<f32> = batch.iter().flat_map(|r| single_engine.logits(r)).collect();
 
         let plan = ExecPlan::compile(&network, 8);
         let mut buffers = plan.buffers();
@@ -169,11 +169,11 @@ mod tests {
         let mut plan_engine = NetworkEngine::program(&network, &cfg);
         plan_engine.replay_plan(&plan, &refs, &mut buffers, &mut out);
 
-        let legacy_bits: Vec<u32> = legacy.as_slice().iter().map(|v| v.to_bits()).collect();
+        let single_bits: Vec<u32> = single.iter().map(|v| v.to_bits()).collect();
         let plan_bits: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(plan_bits, legacy_bits);
-        // Same tile sweeps → same sense counts.
-        assert_eq!(legacy_engine.stats().senses, plan_engine.stats().senses);
+        assert_eq!(plan_bits, single_bits);
+        // One sense per tile row per sample on both paths.
+        assert_eq!(single_engine.stats().senses, plan_engine.stats().senses);
     }
 
     #[test]

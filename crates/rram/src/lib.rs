@@ -22,7 +22,8 @@
 //!   implementations.
 //!
 //! Everything physical is Monte-Carlo over explicit, documented statistical
-//! models; see DESIGN.md §2 for why this preserves the paper's claims.
+//! models; see README § Scale and substitutions for why this preserves the
+//! paper's claims.
 //!
 //! ```
 //! use rbnn_rram::{DeviceParams, Pcsa, Synapse2T2R};

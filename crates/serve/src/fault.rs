@@ -9,36 +9,21 @@
 //! [`serve_batch`](crate::Server) guards, exactly where a real engine
 //! defect would surface.
 //!
-//! Two arming modes:
-//!
-//! - [`arm_engine_panics`] — the legacy counter: the next N dispatches
-//!   panic. Kept for targeted regression tests that need "exactly one
-//!   fault, right now".
-//! - [`arm_chaos`] — a seeded [`ChaosPlan`]: every dispatch draws a
-//!   pseudo-random event (panic, bounded stall, transient error, or a
-//!   one-shot fabric-drift episode) from a splitmix64 stream keyed on
-//!   the plan seed and a process-wide dispatch ordinal. Deterministic
-//!   for a given seed and dispatch interleaving; statistically
-//!   deterministic (event rates) regardless of interleaving.
+//! The one arming mode is [`arm_chaos`] with a seeded [`ChaosPlan`]:
+//! every dispatch draws a pseudo-random event (panic, bounded stall,
+//! transient error, or a one-shot fabric-drift episode) from a splitmix64
+//! stream keyed on the plan seed and a process-wide dispatch ordinal.
+//! Deterministic for a given seed and dispatch interleaving; statistically
+//! deterministic (event rates) regardless of interleaving. Targeted
+//! regression tests that need "exactly N faults, right now" arm
+//! [`ChaosPlan::panics`], which panics the first N dispatches.
 //!
 //! Hidden from docs; not part of the public serving API. Production code
-//! never arms it, so the steady-state cost is two relaxed loads per batch.
+//! never arms it, so the steady-state cost is one acquire load per batch.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
-
-static ARMED: AtomicU64 = AtomicU64::new(0);
-
-/// Arms the next `n` engine dispatches to panic (process-wide).
-///
-/// Passing `0` disarms. Each injected panic consumes one charge, so
-/// concurrent workers never over-fire.
-pub fn arm_engine_panics(n: u64) {
-    // Relaxed: a test-harness toggle; the spawned workers observe it via
-    // the same atomic, and exactness comes from the fetch_update below.
-    ARMED.store(n, Ordering::Relaxed);
-}
 
 /// A seeded fault-injection schedule for sustained chaos runs.
 ///
@@ -50,6 +35,9 @@ pub fn arm_engine_panics(n: u64) {
 pub struct ChaosPlan {
     /// Seed of the splitmix64 event stream.
     pub seed: u64,
+    /// The first `panic_first` dispatches after arming panic — exactly
+    /// that many, process-wide, before any drawn event applies.
+    pub panic_first: u64,
     /// Per-mille of dispatches that panic inside the engine.
     pub panic_per_mille: u16,
     /// Per-mille of dispatches stalled by a bounded sleep (slow replica).
@@ -77,12 +65,23 @@ impl Default for ChaosPlan {
     fn default() -> Self {
         Self {
             seed: 0xC4A0_5EED,
+            panic_first: 0,
             panic_per_mille: 0,
             stall_per_mille: 0,
             max_stall: Duration::from_millis(2),
             transient_per_mille: 0,
             drift_at_dispatch: None,
             drift_cycles: 3_000_000_000,
+        }
+    }
+}
+
+impl ChaosPlan {
+    /// A plan whose first `n` dispatches panic and which is quiet after.
+    pub fn panics(n: u64) -> Self {
+        Self {
+            panic_first: n,
+            ..Self::default()
         }
     }
 }
@@ -125,8 +124,7 @@ pub fn arm_chaos(plan: ChaosPlan) {
     PLAN_ARMED.store(true, Ordering::Release);
 }
 
-/// Disarms any armed [`ChaosPlan`] (the legacy panic counter is separate;
-/// clear it with `arm_engine_panics(0)`).
+/// Disarms any armed [`ChaosPlan`].
 pub fn disarm_chaos() {
     // Release: mirrors `arm_chaos`; pairs with the Acquire in `next_event`.
     PLAN_ARMED.store(false, Ordering::Release);
@@ -154,15 +152,6 @@ fn mix(seed: u64, ordinal: u64) -> u64 {
 /// dispatch should proceed untouched. Called from inside the worker's
 /// `catch_unwind` guard.
 pub(crate) fn next_event() -> Option<ChaosEvent> {
-    // Legacy counter first: Relaxed fast-path read (a stale zero only
-    // delays the injection by one dispatch), exact decrement below.
-    if ARMED.load(Ordering::Relaxed) != 0
-        && ARMED
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1)) // Relaxed: the decrement races only with itself.
-            .is_ok()
-    {
-        return Some(ChaosEvent::Panic);
-    }
     // Acquire pairs with the Release in `arm_chaos`.
     if !PLAN_ARMED.load(Ordering::Acquire) {
         return None;
@@ -172,6 +161,9 @@ pub(crate) fn next_event() -> Option<ChaosEvent> {
     let ordinal = DISPATCHES.fetch_add(1, Ordering::Relaxed);
     let guard = lock_plan();
     let plan = guard.as_ref()?;
+    if ordinal < plan.panic_first {
+        return Some(ChaosEvent::Panic);
+    }
     if plan.drift_at_dispatch == Some(ordinal) {
         return Some(ChaosEvent::Drift {
             cycles: plan.drift_cycles,

@@ -16,12 +16,12 @@
 //! 2. a worker pulls a micro-batch through the adaptive [`Batcher`]
 //!    (dispatch immediately when the queue is deep, linger briefly for
 //!    stragglers when it is not);
-//! 3. the worker groups the batch by task and runs the *batched* kernels —
-//!    [`rbnn_binary::BinaryNetwork::logits_batch`] on the software backend,
-//!    [`rbnn_rram::NetworkEngine::logits_batch`] on the margin-gated RRAM
-//!    backend (deterministic senses short-circuit, marginal cells stay
-//!    Monte-Carlo) — on its own engine replica (replicas, not shared
-//!    engines: PCSA reads need `&mut self`);
+//! 3. the worker groups the batch by task and replays its cached compiled
+//!    [`rbnn_graph::ExecPlan`] — [`rbnn_graph::ExecPlan::replay_rows`] on
+//!    the software backend, [`rbnn_rram::NetworkEngine::replay_plan`] on
+//!    the margin-gated RRAM backend (deterministic senses short-circuit,
+//!    marginal cells stay Monte-Carlo) — on its own engine replica
+//!    (replicas, not shared engines: PCSA reads need `&mut self`);
 //! 4. each request's one-shot channel delivers a [`Prediction`], and
 //!    [`ServerStats`] records end-to-end latency into a log-scaled
 //!    histogram (p50/p95/p99), throughput, batch fill and per-replica
@@ -82,8 +82,8 @@ pub use fault::ChaosPlan;
 pub use registry::{demo_network, Backend, ModelEntry, ModelRegistry, ServeTask};
 pub use retry::RetryPolicy;
 pub use server::{
-    classify_matrix, AdmissionPolicy, ExecutorMode, Pending, PendingWindow, Prediction, Priority,
-    ServeConfig, ServeError, ServeHandle, Server, SubmitOptions, TaskClient,
+    classify_matrix, AdmissionPolicy, Pending, PendingWindow, Prediction, Priority, ServeConfig,
+    ServeError, ServeHandle, Server, SubmitOptions, TaskClient,
 };
 pub use stats::{EngineSnapshot, ServerStats, StatsSnapshot};
 pub use supervisor::{FleetHealth, ReplicaHealth, ReplicaReport, Supervisor, SupervisorPolicy};

@@ -57,52 +57,6 @@ pub enum AdmissionPolicy {
     Block,
 }
 
-/// Which execution path workers evaluate batches on.
-///
-/// Both paths are bitwise-equal — the conformance oracle's fifth path and
-/// the CI executor matrix byte-compare them — so the choice is purely a
-/// performance/diagnostic knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecutorMode {
-    /// Op-graph execution plans (the default): each `(model, batch)` pair
-    /// compiles once into a static [`rbnn_graph::ExecPlan`] of fused
-    /// packed-word kernels that workers replay with zero per-request
-    /// planning or allocation.
-    #[default]
-    Graph,
-    /// The layer-by-layer `Layer` path, retained permanently as the
-    /// conformance reference: every stage materializes its intermediate.
-    Legacy,
-}
-
-impl ExecutorMode {
-    /// Stable label used by bench envelopes and logs.
-    pub fn name(self) -> &'static str {
-        match self {
-            ExecutorMode::Graph => "graph",
-            ExecutorMode::Legacy => "legacy",
-        }
-    }
-
-    /// Applies the `RBNN_EXECUTOR` environment override (`graph` /
-    /// `legacy`, the CI executor-matrix pin; any other value keeps
-    /// `self`). Mirrors the `RBNN_KERNELS` convention of the kernel
-    /// dispatch layer.
-    pub fn resolved(self) -> Self {
-        match std::env::var("RBNN_EXECUTOR").as_deref() {
-            Ok("graph") => ExecutorMode::Graph,
-            Ok("legacy") => ExecutorMode::Legacy,
-            _ => self,
-        }
-    }
-
-    /// The mode a default-configured server runs with right now (config
-    /// default plus environment override) — what bench envelopes record.
-    pub fn active_default() -> Self {
-        ExecutorMode::default().resolved()
-    }
-}
-
 /// Request priority, mapped onto the queue's two lanes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Priority {
@@ -182,10 +136,6 @@ pub struct ServeConfig {
     /// heavily-worn regime where Monte-Carlo senses dominate both the
     /// latency and the error budget.
     pub degrade_marginal_threshold: f64,
-    /// Which execution path workers use (default: compiled op-graph
-    /// plans). The `RBNN_EXECUTOR` environment variable overrides this at
-    /// [`Server::start`] — see [`ExecutorMode::resolved`].
-    pub executor: ExecutorMode,
 }
 
 impl Default for ServeConfig {
@@ -200,7 +150,6 @@ impl Default for ServeConfig {
             admission: AdmissionPolicy::Shed,
             supervisor: SupervisorPolicy::default(),
             degrade_marginal_threshold: 0.05,
-            executor: ExecutorMode::Graph,
         }
     }
 }
@@ -347,9 +296,6 @@ struct Shared {
     admission: AdmissionPolicy,
     /// See [`ServeConfig::degrade_marginal_threshold`].
     degrade_marginal_threshold: f64,
-    /// Resolved executor mode ([`ServeConfig::executor`] after the
-    /// `RBNN_EXECUTOR` override).
-    executor: ExecutorMode,
 }
 
 impl Shared {
@@ -836,26 +782,14 @@ impl PendingWindow {
 
 /// One worker's engine replica for one task.
 enum WorkerEngine {
-    /// Bit-exact software XNOR/popcount evaluation.
-    Software(BinaryNetwork),
+    /// Bit-exact software XNOR/popcount evaluation (the replica's cached
+    /// plan replays on the CPU; no per-replica state).
+    Software,
     /// Monte-Carlo RRAM simulation (owned mutably per worker).
     Rram(NetworkEngine),
 }
 
 impl WorkerEngine {
-    /// Batched logits over per-request feature slices, plus the PCSA
-    /// senses consumed (zero in software).
-    fn logits_batch_rows(&mut self, rows: &[&[f32]]) -> (Tensor, u64) {
-        match self {
-            WorkerEngine::Software(net) => (net.logits_batch_rows(rows), 0),
-            WorkerEngine::Rram(engine) => {
-                let before = engine.stats().senses;
-                let logits = engine.logits_batch_rows(rows);
-                (logits, engine.stats().senses - before)
-            }
-        }
-    }
-
     /// Fast-forwards device wear and runs one weight-refresh cycle on the
     /// worn fabric (chaos drift injection): the refresh re-realizes every
     /// resistance from the worn distributions, which is what actually
@@ -872,7 +806,7 @@ impl WorkerEngine {
     /// marginal band, or `None` on the software backend.
     fn marginal_fraction(&self) -> Option<f64> {
         match self {
-            WorkerEngine::Software(_) => None,
+            WorkerEngine::Software => None,
             WorkerEngine::Rram(engine) => {
                 let cells = engine.cell_count();
                 if cells == 0 {
@@ -904,7 +838,7 @@ impl ReplicaSpec {
     /// Builds (or rebuilds) the engine this spec describes.
     fn build(&self) -> WorkerEngine {
         match self.backend {
-            Backend::Software => WorkerEngine::Software(self.network.clone()),
+            Backend::Software => WorkerEngine::Software,
             Backend::Rram => {
                 let mut engine = NetworkEngine::program(&self.network, &self.engine_config);
                 engine.set_parallelism(self.engine_threads);
@@ -958,7 +892,7 @@ impl PlanState {
         let classes = self.plan.out_features();
         let out = &mut self.logits[..n * classes];
         let senses = match engine {
-            WorkerEngine::Software(_) => {
+            WorkerEngine::Software => {
                 self.plan.replay_rows(rows, &mut self.buffers, out);
                 0
             }
@@ -981,8 +915,8 @@ struct Replica {
     /// against the shared [`ModelSlot`] before each batch so a hot swap is
     /// adopted before any request is evaluated against stale weights.
     version: u64,
-    /// Cached execution plan for [`ExecutorMode::Graph`] dispatch, compiled
-    /// lazily on first use and invalidated on model swap.
+    /// Cached execution plan every dispatch replays, compiled lazily on
+    /// first use and invalidated on model swap.
     plan: Option<PlanState>,
     /// Set by a respawn, cleared by the first successful batch — the
     /// signal to tell the supervisor the replica is stable again.
@@ -1035,7 +969,6 @@ impl Server {
             supervisor: Supervisor::new(config.supervisor.clone(), config.workers, &tasks),
             admission: config.admission,
             degrade_marginal_threshold: config.degrade_marginal_threshold,
-            executor: config.executor.resolved(),
         });
 
         let workers = (0..config.workers)
@@ -1292,7 +1225,7 @@ fn serve_batch(
                 Some(ChaosEvent::Drift { cycles }) => engine.age(cycles),
                 None => {}
             }
-            Ok(dispatch_rows(engine, network, plan, shared.executor, &rows))
+            Ok(dispatch_rows(engine, network, plan, &rows))
         }));
         let (logits, senses) = match outcome {
             Ok(Ok(result)) => result,
@@ -1361,33 +1294,25 @@ fn serve_batch(
 /// never recompiled again).
 const MIN_PLAN_BATCH: usize = 16;
 
-/// Evaluates one task group on the configured executor. Under
-/// [`ExecutorMode::Graph`] the replica's cached [`PlanState`] is replayed
-/// — compiled here on first use (or when the batch outgrows its capacity),
-/// then reused with zero per-request planning or allocation. Under
-/// [`ExecutorMode::Legacy`] the layer-by-layer reference path runs
-/// directly. Both paths are bitwise-equal (locked by the conformance
-/// oracle's plan path and the CI executor matrix).
+/// Evaluates one task group by replaying the replica's cached
+/// [`PlanState`] — compiled here on first use (or when the batch outgrows
+/// its capacity), then reused with zero per-request planning or
+/// allocation. Replay is bitwise-equal to the single-sample oracle (locked
+/// by the conformance oracle's serve and plan paths).
 fn dispatch_rows(
     engine: &mut WorkerEngine,
     network: &BinaryNetwork,
     plan: &mut Option<PlanState>,
-    executor: ExecutorMode,
     rows: &[&[f32]],
 ) -> (Tensor, u64) {
     let n = rows.len();
-    if executor == ExecutorMode::Graph {
-        if plan.as_ref().map_or(true, |p| p.plan.max_batch() < n) {
-            *plan = Some(PlanState::compile(
-                network,
-                n.next_power_of_two().max(MIN_PLAN_BATCH),
-            ));
-        }
-        if let Some(state) = plan.as_mut() {
-            return state.replay(engine, rows);
-        }
+    if plan.as_ref().is_some_and(|p| p.plan.max_batch() < n) {
+        *plan = None;
     }
-    engine.logits_batch_rows(rows)
+    plan.get_or_insert_with(|| {
+        PlanState::compile(network, n.next_power_of_two().max(MIN_PLAN_BATCH))
+    })
+    .replay(engine, rows)
 }
 
 /// Adopts a hot-swapped model ([`ServeHandle::swap_model`]): when the
@@ -1443,7 +1368,7 @@ fn maybe_degrade(shared: &Shared, worker_idx: usize, task: ServeTask, replica: &
     };
     if let Some(fraction) = engine.marginal_fraction() {
         if fraction > shared.degrade_marginal_threshold {
-            replica.engine = Some(WorkerEngine::Software(replica.spec.network.clone()));
+            replica.engine = Some(WorkerEngine::Software);
             shared.supervisor.record_degraded(worker_idx, task);
         }
     }
@@ -1683,7 +1608,7 @@ mod tests {
         let xs: Vec<f32> = (0..n * f).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         let features = Tensor::from_vec(xs, [n, f]);
         let served = classify_matrix(&handle, ServeTask::Image, &features).expect("served");
-        assert_eq!(served, net.classify_batch(&features));
+        assert_eq!(served, rbnn_graph::classify_batch(net, &features));
     }
 
     #[test]
@@ -1706,7 +1631,11 @@ mod tests {
         let xs: Vec<f32> = (0..n * f).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         let features = Tensor::from_vec(xs, [n, f]);
         let served = classify_matrix(&handle, ServeTask::Ecg, &features).expect("served");
-        assert_eq!(served, net.classify_batch(&features), "order must hold");
+        assert_eq!(
+            served,
+            rbnn_graph::classify_batch(net, &features),
+            "order must hold"
+        );
         let snap = server.shutdown();
         assert_eq!(snap.completed, n as u64);
         assert!(
@@ -1739,7 +1668,11 @@ mod tests {
         let t0 = std::time::Instant::now();
         let served = classify_matrix(&handle, ServeTask::Ecg, &features).expect("served");
         let rate = n as f64 / t0.elapsed().as_secs_f64();
-        assert_eq!(served, net.classify_batch(&features), "fresh ⇒ bit-exact");
+        assert_eq!(
+            served,
+            rbnn_graph::classify_batch(net, &features),
+            "fresh ⇒ bit-exact"
+        );
         assert!(
             rate > 300.0,
             "RRAM serving should be orders beyond 42 samples/s, got {rate:.0}"

@@ -10,7 +10,7 @@
 use std::time::{Duration, Instant};
 
 use rbnn_serve::{
-    Backend, ModelRegistry, ReplicaHealth, ServeConfig, ServeError, ServeTask, Server,
+    Backend, ChaosPlan, ModelRegistry, ReplicaHealth, ServeConfig, ServeError, ServeTask, Server,
     SupervisorPolicy,
 };
 
@@ -48,7 +48,7 @@ fn engine_panic_degrades_one_replica_then_respawns() {
         .expect("healthy replica serves");
 
     // The next engine dispatch panics inside the worker.
-    rbnn_serve::fault::arm_engine_panics(1);
+    rbnn_serve::fault::arm_chaos(ChaosPlan::panics(1));
     let faulted_at = Instant::now();
     let faulted = handle.classify(ServeTask::Ecg, ecg.clone());
     assert_eq!(

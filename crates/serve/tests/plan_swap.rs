@@ -2,15 +2,14 @@
 //! must invalidate every worker's compiled [`ExecPlan`] cache — a stale
 //! plan replaying old weights would answer with the *previous* model's
 //! logits bit-for-bit, which is exactly what these tests would catch,
-//! since the default executor serves every request off the plan cache.
+//! since workers serve every request off the plan cache.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use rbnn_rram::EngineConfig;
 use rbnn_serve::{
-    demo_network, Backend, ExecutorMode, ModelEntry, ModelRegistry, ServeConfig, ServeError,
-    ServeTask, Server,
+    demo_network, Backend, ModelEntry, ModelRegistry, ServeConfig, ServeError, ServeTask, Server,
 };
 
 const DIMS: &[usize] = &[40, 24, 4];
@@ -43,7 +42,6 @@ fn swap_invalidates_cached_plans_and_never_serves_a_stale_or_blended_model() {
     let config = ServeConfig {
         workers: 2,
         backend: Backend::Software,
-        executor: ExecutorMode::Graph,
         ..Default::default()
     };
     let server = Server::start(&registry_with(&net_a), &config);
@@ -179,32 +177,38 @@ fn swap_rejects_width_changes_and_unknown_tasks() {
 }
 
 #[test]
-fn graph_and_legacy_executors_answer_bitwise_identically() {
+fn served_logits_are_bitwise_equal_to_the_scalar_oracle_at_edge_widths() {
+    // Word-boundary widths at every fusion boundary, with a window request
+    // that spans more rows than the smallest plan capacity.
     let net = demo_network(&[65, 63, 127, 5], 0xD);
-    let mut answers = Vec::new();
-    for executor in [ExecutorMode::Graph, ExecutorMode::Legacy] {
-        let server = Server::start(
-            &registry_with(&net),
-            &ServeConfig {
-                workers: 1,
-                backend: Backend::Software,
-                executor,
-                ..Default::default()
-            },
-        );
-        let handle = server.handle();
-        let mut logits = Vec::new();
-        for i in 0..6 {
-            let x: Vec<f32> = (0..65)
-                .map(|j| ((i * 17 + j * 3) % 11) as f32 - 5.0)
-                .collect();
-            logits.push(handle.classify(ServeTask::Ecg, x).expect("serves").logits);
-        }
-        answers.push(logits);
-        drop(server);
-    }
-    assert_eq!(
-        answers[0], answers[1],
-        "graph and legacy executors disagree"
+    let server = Server::start(
+        &registry_with(&net),
+        &ServeConfig {
+            workers: 1,
+            backend: Backend::Software,
+            ..Default::default()
+        },
     );
+    let handle = server.handle();
+    let rows: Vec<Vec<f32>> = (0..40)
+        .map(|i| {
+            (0..65)
+                .map(|j| ((i * 17 + j * 3) % 11) as f32 - 5.0)
+                .collect()
+        })
+        .collect();
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for row in rows.iter().take(6) {
+        let p = handle
+            .classify(ServeTask::Ecg, row.clone())
+            .expect("serves");
+        assert_eq!(bits(&p.logits), bits(&net.logits(row)));
+    }
+    let window = handle
+        .classify_window(ServeTask::Ecg, rows.clone())
+        .expect("window served");
+    assert_eq!(window.len(), rows.len());
+    for (row, p) in rows.iter().zip(&window) {
+        assert_eq!(bits(&p.logits), bits(&net.logits(row)));
+    }
 }

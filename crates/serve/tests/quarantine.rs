@@ -8,7 +8,7 @@
 use std::time::Duration;
 
 use rbnn_serve::{
-    Backend, ModelRegistry, ReplicaHealth, ServeConfig, ServeError, ServeTask, Server,
+    Backend, ChaosPlan, ModelRegistry, ReplicaHealth, ServeConfig, ServeError, ServeTask, Server,
     SupervisorPolicy,
 };
 
@@ -45,13 +45,13 @@ fn crash_looping_replica_is_quarantined_not_retried_forever() {
         .classify(ServeTask::Ecg, ecg.clone())
         .expect("healthy baseline");
 
-    // Arm exactly `quarantine_after` panics: the injection counter is
+    // Arm exactly `quarantine_after` panics: the dispatch ordinal is
     // process-global, so the crash loop must consume every armed panic
     // (initial fault + each respawned engine's first dispatch) before the
     // sibling-replica probe below dispatches. While any panics remain
     // armed, a respawned ECG replica can never serve successfully — each
     // respawn's first dispatch faults again: a genuine crash loop.
-    rbnn_serve::fault::arm_engine_panics(u64::from(quarantine_after));
+    rbnn_serve::fault::arm_chaos(ChaosPlan::panics(u64::from(quarantine_after)));
     let mut fault_replies = 0u32;
     for _ in 0..40 {
         match handle.classify(ServeTask::Ecg, ecg.clone()) {
@@ -87,7 +87,7 @@ fn crash_looping_replica_is_quarantined_not_retried_forever() {
 
     // Quarantine is sticky: even with injections exhausted, the replica
     // is not retried.
-    rbnn_serve::fault::arm_engine_panics(0);
+    rbnn_serve::fault::disarm_chaos();
     std::thread::sleep(Duration::from_millis(60));
     assert_eq!(
         handle.classify(ServeTask::Ecg, ecg),

@@ -70,7 +70,7 @@ fn engine_fault_reaches_verdict_stream_as_typed_error() {
 
     // The next engine dispatch panics; the 10 ms default backoff means
     // the replica respawns while the run is still going.
-    rbnn_serve::fault::arm_engine_panics(1);
+    rbnn_serve::fault::arm_chaos(rbnn_serve::ChaosPlan::panics(1));
     let report = router.run().expect("run survives the fault").remove(0);
 
     // Zero lost requests: every submitted window has a terminal verdict.

@@ -68,7 +68,7 @@ fn retry_budget_absorbs_engine_fault_without_losing_windows() {
     });
     router.add_patient(0, Box::new(source), session);
 
-    rbnn_serve::fault::arm_engine_panics(1);
+    rbnn_serve::fault::arm_chaos(rbnn_serve::ChaosPlan::panics(1));
     let report = router.run().expect("run survives the fault").remove(0);
 
     assert!(report.windows >= 12, "target reached: {}", report.windows);

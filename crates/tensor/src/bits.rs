@@ -465,27 +465,6 @@ impl BitMatrix {
         m
     }
 
-    /// Packs the signs of `rows.len()` separate feature slices, one per
-    /// matrix row — the zero-concatenation entry point for serving paths
-    /// whose samples arrive as individual vectors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any slice's length differs from `cols`.
-    pub fn from_sign_rows(rows: &[&[f32]], cols: usize) -> Self {
-        let mut m = Self::zeros(rows.len(), cols);
-        for (r, row_values) in rows.iter().enumerate() {
-            assert_eq!(
-                row_values.len(),
-                cols,
-                "from_sign_rows: row {r} width mismatch"
-            );
-            let row_words = &mut m.data[r * m.words_per_row..(r + 1) * m.words_per_row];
-            pack::pack_signs(row_values, row_words);
-        }
-        m
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -564,33 +543,6 @@ impl BitMatrix {
             words: self.row_words(r).to_vec(),
             len: self.cols,
         }
-    }
-
-    /// Overwrites row `r` with the words of `src` (word-level copy; the
-    /// fast path batched layer evaluation uses to store per-sample
-    /// activation rows).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= rows` or `src.len() != cols`.
-    pub fn set_row(&mut self, r: usize, src: &BitVec) {
-        assert!(r < self.rows, "row {r} out of range");
-        assert_eq!(src.len(), self.cols, "set_row: width mismatch");
-        let dst = &mut self.data[r * self.words_per_row..(r + 1) * self.words_per_row];
-        dst.copy_from_slice(&src.words);
-    }
-
-    /// Overwrites row `r` from a bit predicate over `0..cols`, branchlessly
-    /// word-at-a-time (the batched layer output path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= rows`.
-    #[inline]
-    pub fn set_row_bits(&mut self, r: usize, bit: impl Fn(usize) -> bool) {
-        assert!(r < self.rows, "row {r} out of range");
-        let row_words = &mut self.data[r * self.words_per_row..(r + 1) * self.words_per_row];
-        pack_words(row_words, self.cols, bit);
     }
 
     /// Builds the bit-packed `im2col`-style window matrix of a multichannel
@@ -977,20 +929,6 @@ mod tests {
                     assert!(!s.get(i), "padding must be zero");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn set_row_copies_words() {
-        let mut m = BitMatrix::zeros(3, 70);
-        let mut rng = StdRng::seed_from_u64(33);
-        let bits: Vec<bool> = (0..70).map(|_| rng.gen::<bool>()).collect();
-        let v = BitVec::from_bools(&bits);
-        m.set_row(1, &v);
-        for c in 0..70 {
-            assert_eq!(m.get(1, c), bits[c]);
-            assert!(!m.get(0, c));
-            assert!(!m.get(2, c));
         }
     }
 

@@ -5,7 +5,7 @@
 //! `x >= 0.0`, so `+0.0` and `-0.0` both binarize to `+1` (IEEE comparison
 //! treats them as equal) and NaN binarizes to `-1` (every ordered
 //! comparison with NaN is false). `BitVec::from_signs`,
-//! `BitMatrix::from_signs`/`from_sign_rows`, `Tensor::signum_binary` and
+//! `BitMatrix::from_signs`, `Tensor::signum_binary` and
 //! `signum_binary_into` all route through this predicate, and the AVX
 //! packer reproduces it exactly (`_CMP_GE_OQ` is ordered-quiet: false on
 //! NaN, true on `-0.0 >= +0.0`) — so packed words are bitwise identical

@@ -124,13 +124,7 @@ fn bitmatrix_packing_dispatched_matches_scalar_bitwise() {
     for &cols in &[1usize, 63, 64, 65, 127, 128, 408] {
         let rows = 5usize;
         let values = adversarial_values(rows * cols, &mut seed);
-        let row_slices: Vec<&[f32]> = values.chunks(cols).collect();
-        let (scalar, dispatched) = both_modes(|| {
-            let m = BitMatrix::from_signs(&values, rows, cols);
-            let r = BitMatrix::from_sign_rows(&row_slices, cols);
-            assert_eq!(m, r, "from_signs vs from_sign_rows at cols {cols}");
-            m
-        });
+        let (scalar, dispatched) = both_modes(|| BitMatrix::from_signs(&values, rows, cols));
         assert_eq!(scalar, dispatched, "cols {cols}");
     }
 }

@@ -176,9 +176,10 @@ fn kfold_partitions() {
     });
 }
 
-/// Batch/single parity: `BinaryNetwork::logits_batch` is bit-for-bit equal
-/// to per-sample `logits`, and `classify_batch` to per-sample `classify`,
-/// for random networks, batch sizes and inputs (including empty batches).
+/// Batch/single parity: batched `rbnn_graph::logits_batch` (a compiled
+/// plan) is bit-for-bit equal to per-sample `BinaryNetwork::logits`, and
+/// `classify_batch` to per-sample `classify`, for random networks, batch
+/// sizes and inputs (including empty batches).
 #[test]
 fn logits_batch_matches_single() {
     for_cases(8, |seed, rng| {
@@ -197,9 +198,9 @@ fn logits_batch_matches_single() {
         let n = rng.gen_range(0usize..17);
         let xs: Vec<f32> = (0..n * inp).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         let features = Tensor::from_vec(xs.clone(), [n, inp]);
-        let batched = net.logits_batch(&features);
+        let batched = rbnn_graph::logits_batch(&net, &features);
         assert_eq!(batched.dims(), [n, classes], "seed {seed}");
-        let classes_batch = net.classify_batch(&features);
+        let classes_batch = rbnn_graph::classify_batch(&net, &features);
         for i in 0..n {
             let single = net.logits(&xs[i * inp..(i + 1) * inp]);
             assert_eq!(
