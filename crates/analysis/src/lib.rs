@@ -103,13 +103,14 @@ fn rel_str(root: &Path, path: &Path) -> String {
 pub fn scan(root: &Path, cfg: &Config, filter: &[String]) -> std::io::Result<Report> {
     let mut report = Report::default();
     let mut raw: Vec<lints::Violation> = Vec::new();
-    for rel in collect_sources(root, cfg)? {
+    let files = collect_sources(root, cfg)?;
+    for rel in &files {
         if !filter.is_empty() && !filter.iter().any(|f| rel.starts_with(f.as_str())) {
             continue;
         }
-        let src = fs::read_to_string(root.join(&rel))?;
+        let src = fs::read_to_string(root.join(rel))?;
         report.files_scanned += 1;
-        raw.extend(check_source(&rel, classify(&rel), &src, cfg));
+        raw.extend(check_source(rel, classify(rel, &files), &src, cfg));
     }
 
     let mut waiver_used = vec![false; cfg.waivers.len()];

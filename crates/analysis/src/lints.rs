@@ -113,8 +113,10 @@ pub enum FileClass {
     Test,
 }
 
-/// Classifies a workspace-relative path (forward slashes).
-pub fn classify(rel: &str) -> FileClass {
+/// Classifies a workspace-relative path (forward slashes). `files` is
+/// every scanned source path: a module under `<pkg>/src/` of a package
+/// that has `src/main.rs` and no `src/lib.rs` belongs to a binary.
+pub fn classify(rel: &str, files: &[String]) -> FileClass {
     if rel.contains("/tests/") || rel.starts_with("tests/") {
         return FileClass::Test;
     }
@@ -128,7 +130,24 @@ pub fn classify(rel: &str) -> FileClass {
     {
         return FileClass::Bin;
     }
+    if binary_only_package(rel, files) {
+        return FileClass::Bin;
+    }
     FileClass::Lib
+}
+
+/// Whether `rel` sits under the `src/` of a package with a `src/main.rs`
+/// and no `src/lib.rs`.
+fn binary_only_package(rel: &str, files: &[String]) -> bool {
+    let pkg = if rel.starts_with("src/") {
+        ""
+    } else {
+        match rel.find("/src/") {
+            Some(i) => &rel[..=i],
+            None => return false,
+        }
+    };
+    files.contains(&format!("{pkg}src/main.rs")) && !files.contains(&format!("{pkg}src/lib.rs"))
 }
 
 /// Runs every applicable lint over one file's source.
@@ -494,6 +513,27 @@ mod tests {
             src,
             &Config::default(),
         )
+    }
+
+    #[test]
+    fn modules_of_binary_only_packages_are_binaries() {
+        let files: Vec<String> = [
+            "bench/src/main.rs",
+            "bench/src/report.rs",
+            "crates/x/src/lib.rs",
+            "crates/x/src/main.rs",
+            "crates/x/src/util.rs",
+            "crates/y/src/util.rs",
+        ]
+        .map(String::from)
+        .to_vec();
+        assert_eq!(classify("bench/src/report.rs", &files), FileClass::Bin);
+        assert_eq!(classify("bench/src/main.rs", &files), FileClass::Bin);
+        // A package with a library target keeps its modules library code.
+        assert_eq!(classify("crates/x/src/util.rs", &files), FileClass::Lib);
+        // No binary target at all: library.
+        assert_eq!(classify("crates/y/src/util.rs", &files), FileClass::Lib);
+        assert_eq!(classify("bench/tests/t.rs", &files), FileClass::Test);
     }
 
     #[test]

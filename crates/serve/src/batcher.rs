@@ -70,9 +70,12 @@ impl Batcher {
     /// The linger runs in short sub-polls rather than one sleep to the
     /// full deadline: a straggler request arriving right after a sustained
     /// burst (fill EWMA ≈ 1) would otherwise wait the entire
-    /// `fill × max_delay` even though nothing else is coming. When two
-    /// consecutive sub-polls time out with the queue still empty, the
-    /// batch dispatches early — an idle tail, not a forming batch.
+    /// `fill × max_delay` even though nothing else is coming. Each
+    /// sub-poll ([`BoundedQueue::pop_linger`]) sleeps until enough requests
+    /// are queued to fill the batch or its slice ends, then takes what
+    /// arrived; single arrivals do not wake it. When two consecutive
+    /// sub-polls time out with the queue still empty, the batch dispatches
+    /// early — an idle tail, not a forming batch.
     pub fn next_batch<T>(&mut self, queue: &BoundedQueue<T>) -> Option<Vec<T>> {
         self.next_batch_with(queue, |_| {})
     }
@@ -80,9 +83,11 @@ impl Batcher {
     /// [`next_batch`](Self::next_batch) with a dequeue observer: `on_pop`
     /// runs on each newly popped chunk *at the moment it leaves the
     /// queue*, before any further lingering. The serving layer uses it to
-    /// timestamp requests at dequeue, separating genuine queue wait from
-    /// the batcher's own linger in span traces (stamping after the full
-    /// batch formed would fold the linger into queue wait).
+    /// timestamp requests at dequeue, separating queue wait from the
+    /// batcher's linger in span traces (stamping after the full batch
+    /// formed would fold the whole linger into queue wait; a straggler
+    /// that sits queued until a sub-poll collects it counts that time as
+    /// queue wait).
     pub fn next_batch_with<T>(
         &mut self,
         queue: &BoundedQueue<T>,
@@ -137,9 +142,9 @@ impl Batcher {
                         break;
                     }
                     let sub_deadline = (now + slice).min(deadline);
-                    match queue
-                        .pop_up_to_deadline(self.policy.max_batch - batch.len(), sub_deadline)
-                    {
+                    // Sleeps until the batch could fill, not on every
+                    // arrival: a partial top-up lands at the sub-deadline.
+                    match queue.pop_linger(self.policy.max_batch - batch.len(), sub_deadline) {
                         // Queue closed: dispatch what we have.
                         None => break,
                         // Sub-poll timed out with nothing queued.

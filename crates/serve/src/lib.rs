@@ -22,7 +22,8 @@
 //!    the margin-gated RRAM backend (deterministic senses short-circuit,
 //!    marginal cells stay Monte-Carlo) — on its own engine replica
 //!    (replicas, not shared engines: PCSA reads need `&mut self`);
-//! 4. each request's one-shot channel delivers a [`Prediction`], and
+//! 4. each request's one-shot reply slot delivers a [`Prediction`] (the
+//!    worker wakes the client only if it is parked on the slot), and
 //!    [`ServerStats`] records end-to-end latency into a log-scaled
 //!    histogram (p50/p95/p99), throughput, batch fill and per-replica
 //!    array counters.
@@ -72,6 +73,7 @@ mod batcher;
 pub mod fault;
 pub mod queue;
 mod registry;
+mod reply;
 mod retry;
 mod server;
 mod stats;

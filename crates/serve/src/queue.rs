@@ -4,10 +4,11 @@
 //! `std::sync::mpsc` is single-consumer and its `SyncSender` cannot express
 //! "try, then tell the caller the queue is full" alongside batch draining
 //! with a deadline, so the serving runtime uses its own small primitive:
-//! a `Mutex` over two `VecDeque` lanes with two condition variables (one
-//! for producers waiting on capacity, one for consumers waiting on items)
-//! — the classic bounded-buffer construction, extended with a two-lane
-//! priority order.
+//! a `Mutex` over two `VecDeque` lanes with condition variables for
+//! producers waiting on capacity and consumers waiting on items — the
+//! classic bounded-buffer construction, extended with a two-lane priority
+//! order and a third condition variable for batchers lingering on a
+//! partial batch.
 //!
 //! Lanes share one capacity budget. Consumers drain the urgent lane
 //! first; within a lane order is FIFO. The shedding push
@@ -16,6 +17,28 @@
 //! incoming item is urgent, the newest queued routine item, which is
 //! handed back to the caller so it can be answered with a typed
 //! overload error instead of silently vanishing.
+//!
+//! Wake policy. Every waiter records itself under the lock before it
+//! sleeps, and a notify is only issued when a matching waiter is
+//! recorded, so an uncontended push or pop makes no futex syscall:
+//!
+//! * `ready` — consumers blocked on an empty queue
+//!   ([`pop_up_to`](BoundedQueue::pop_up_to),
+//!   [`pop_up_to_deadline`](BoundedQueue::pop_up_to_deadline)); a push
+//!   wakes one of them.
+//! * `space` — producers blocked on a full queue
+//!   ([`push_lane`](BoundedQueue::push_lane)); a pop that frees capacity
+//!   wakes all of them.
+//! * `linger` — batchers topping up a partial batch
+//!   ([`pop_linger`](BoundedQueue::pop_linger)). A lingerer names how many
+//!   items it still wants and sleeps until that many are queued, its
+//!   deadline passes, or the queue closes; arrivals below the threshold do
+//!   not wake it. The queue keeps the smallest want of the lingerers
+//!   present, reset when the last one leaves, so it may be lower than any
+//!   current want: that costs a spurious wake, never a missed one, and
+//!   every lingerer wakes by its own deadline at the latest.
+//!
+//! `close` wakes everyone.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
@@ -50,6 +73,16 @@ struct Inner<T> {
     urgent: VecDeque<T>,
     routine: VecDeque<T>,
     closed: bool,
+    /// Consumers sleeping on `ready`.
+    ready_waiters: usize,
+    /// Producers sleeping on `space`.
+    space_waiters: usize,
+    /// Batchers sleeping on `linger`.
+    lingerers: usize,
+    /// Queue length at which a lingerer must be woken: the smallest want
+    /// among the lingerers since `lingerers` was last zero (`usize::MAX`
+    /// when none).
+    linger_want: usize,
 }
 
 impl<T> Inner<T> {
@@ -64,6 +97,7 @@ pub struct BoundedQueue<T> {
     capacity: usize,
     space: Condvar,
     ready: Condvar,
+    linger: Condvar,
 }
 
 impl<T> std::fmt::Debug for BoundedQueue<T> {
@@ -99,10 +133,15 @@ impl<T> BoundedQueue<T> {
                 urgent: VecDeque::new(),
                 routine: VecDeque::new(),
                 closed: false,
+                ready_waiters: 0,
+                space_waiters: 0,
+                lingerers: 0,
+                linger_want: usize::MAX,
             }),
             capacity,
             space: Condvar::new(),
             ready: Condvar::new(),
+            linger: Condvar::new(),
         }
     }
 
@@ -142,17 +181,15 @@ impl<T> BoundedQueue<T> {
                 return Err(PushError::Closed);
             }
             if inner.len() < self.capacity {
-                match lane {
-                    Lane::Urgent => inner.urgent.push_back(item),
-                    Lane::Routine => inner.routine.push_back(item),
-                }
-                self.ready.notify_one();
+                self.enqueue_locked(&mut inner, item, lane);
                 return Ok(());
             }
+            inner.space_waiters += 1;
             inner = self
                 .space
                 .wait(inner)
                 .unwrap_or_else(PoisonError::into_inner);
+            inner.space_waiters -= 1;
         }
     }
 
@@ -183,21 +220,32 @@ impl<T> BoundedQueue<T> {
             return Err(PushError::Closed);
         }
         if inner.len() < self.capacity {
-            match lane {
-                Lane::Urgent => inner.urgent.push_back(item),
-                Lane::Routine => inner.routine.push_back(item),
-            }
-            self.ready.notify_one();
+            self.enqueue_locked(&mut inner, item, lane);
             return Ok(None);
         }
         if lane == Lane::Urgent {
             if let Some(evicted) = inner.routine.pop_back() {
-                inner.urgent.push_back(item);
-                self.ready.notify_one();
+                self.enqueue_locked(&mut inner, item, Lane::Urgent);
                 return Ok(Some(evicted));
             }
         }
         Err(PushError::Full)
+    }
+
+    /// Appends `item` to `lane` and wakes the consumers it may satisfy:
+    /// one sleeping on `ready`, and every lingerer once the queue reaches
+    /// the smallest recorded want.
+    fn enqueue_locked(&self, inner: &mut Inner<T>, item: T, lane: Lane) {
+        match lane {
+            Lane::Urgent => inner.urgent.push_back(item),
+            Lane::Routine => inner.routine.push_back(item),
+        }
+        if inner.ready_waiters > 0 {
+            self.ready.notify_one();
+        }
+        if inner.lingerers > 0 && inner.len() >= inner.linger_want {
+            self.linger.notify_all();
+        }
     }
 
     /// Blocks until at least one item is available (or the queue closes),
@@ -213,10 +261,12 @@ impl<T> BoundedQueue<T> {
             if inner.closed {
                 return None;
             }
+            inner.ready_waiters += 1;
             inner = self
                 .ready
                 .wait(inner)
                 .unwrap_or_else(PoisonError::into_inner);
+            inner.ready_waiters -= 1;
         }
     }
 
@@ -235,15 +285,52 @@ impl<T> BoundedQueue<T> {
             if now >= deadline {
                 return Some(Vec::new());
             }
+            inner.ready_waiters += 1;
             let (guard, timeout) = self
                 .ready
                 .wait_timeout(inner, deadline - now)
                 .unwrap_or_else(PoisonError::into_inner);
             inner = guard;
+            inner.ready_waiters -= 1;
             if timeout.timed_out() && inner.len() == 0 {
                 return Some(Vec::new());
             }
         }
+    }
+
+    /// The batcher's linger wait: sleeps until `want` items are queued,
+    /// `deadline` passes, or the queue closes — arrivals that leave fewer
+    /// than `want` queued do not wake it — then drains up to `want` items,
+    /// urgent lane first. Returns an empty batch when the deadline passes
+    /// with nothing queued, and `None` only after close with an empty
+    /// queue.
+    pub fn pop_linger(&self, want: usize, deadline: Instant) -> Option<Vec<T>> {
+        let want = want.max(1);
+        let mut inner = self.lock_inner();
+        inner.lingerers += 1;
+        inner.linger_want = inner.linger_want.min(want);
+        loop {
+            if inner.len() >= want || inner.closed {
+                break;
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                break;
+            }
+            let (guard, _) = self
+                .linger
+                .wait_timeout(inner, deadline - now)
+                .unwrap_or_else(PoisonError::into_inner);
+            inner = guard;
+        }
+        inner.lingerers -= 1;
+        if inner.lingerers == 0 {
+            inner.linger_want = usize::MAX;
+        }
+        if inner.closed && inner.len() == 0 {
+            return None;
+        }
+        Some(self.drain_locked(&mut inner, want))
     }
 
     fn drain_locked(&self, inner: &mut Inner<T>, max: usize) -> Vec<T> {
@@ -253,7 +340,9 @@ impl<T> BoundedQueue<T> {
         let from_routine = take - from_urgent;
         batch.extend(inner.routine.drain(..from_routine));
         // Capacity freed: release every producer blocked on space.
-        self.space.notify_all();
+        if take > 0 && inner.space_waiters > 0 {
+            self.space.notify_all();
+        }
         batch
     }
 
@@ -264,6 +353,7 @@ impl<T> BoundedQueue<T> {
         inner.closed = true;
         self.ready.notify_all();
         self.space.notify_all();
+        self.linger.notify_all();
     }
 }
 
@@ -402,6 +492,165 @@ mod tests {
         assert_eq!(q.pop_up_to_deadline(4, deadline), Some(Vec::new()));
         q.close();
         assert_eq!(q.push(9), Err(PushError::Closed));
+    }
+
+    /// Joins `handle`, failing the test instead of hanging if the thread
+    /// does not finish within `limit`.
+    fn join_within<R: Send + 'static>(handle: thread::JoinHandle<R>, limit: Duration) -> R {
+        let (tx, rx) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            let _ = tx.send(handle.join());
+        });
+        rx.recv_timeout(limit)
+            .expect("thread must finish in bounded time")
+            .unwrap()
+    }
+
+    #[test]
+    fn lingering_pop_returns_on_the_wanted_push_not_before() {
+        let q = Arc::new(BoundedQueue::new(16));
+        let q2 = Arc::clone(&q);
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let lingerer = thread::spawn(move || q2.pop_linger(3, deadline));
+        await_lingerers(&q, 1);
+        q.push(1u32).unwrap();
+        q.push(2).unwrap();
+        thread::sleep(Duration::from_millis(30));
+        assert!(
+            !lingerer.is_finished(),
+            "two of three wanted items must not end the linger"
+        );
+        q.push(3).unwrap();
+        let got = join_within(lingerer, Duration::from_secs(5));
+        assert_eq!(got, Some(vec![1, 2, 3]));
+    }
+
+    #[test]
+    fn lingering_pop_takes_what_is_queued_at_its_deadline() {
+        let q = BoundedQueue::new(16);
+        let t0 = Instant::now();
+        let got = q.pop_linger(3, t0 + Duration::from_millis(30));
+        assert_eq!(got, Some(Vec::<u32>::new()), "nothing queued: empty");
+        assert!(t0.elapsed() >= Duration::from_millis(25));
+        q.push(7u32).unwrap();
+        let t0 = Instant::now();
+        let got = q.pop_linger(3, t0 + Duration::from_millis(30));
+        assert_eq!(got, Some(vec![7]), "a partial top-up lands at the deadline");
+        assert!(t0.elapsed() >= Duration::from_millis(25));
+        // Never more than wanted, urgent first.
+        for i in 0..4 {
+            q.push(i).unwrap();
+        }
+        q.push_lane(9, Lane::Urgent).unwrap();
+        assert_eq!(q.pop_linger(2, Instant::now()), Some(vec![9, 0]));
+    }
+
+    #[test]
+    fn lingering_pop_wakes_on_close() {
+        let q = Arc::new(BoundedQueue::new(16));
+        q.push(5u32).unwrap();
+        let q2 = Arc::clone(&q);
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let lingerer = thread::spawn(move || q2.pop_linger(4, deadline));
+        await_lingerers(&q, 1);
+        q.close();
+        // Queued work is still handed out; an empty closed queue ends it.
+        assert_eq!(join_within(lingerer, Duration::from_secs(5)), Some(vec![5]));
+        assert_eq!(q.pop_linger(4, deadline), None);
+    }
+
+    /// Spins until `n` lingerers are recorded, so a test can order its
+    /// pushes after their registration.
+    fn await_lingerers<T>(q: &BoundedQueue<T>, n: usize) {
+        while q.lock_inner().lingerers != n {
+            thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn lingerers_with_different_wants_each_wake_at_their_own_count() {
+        let q = Arc::new(BoundedQueue::new(64));
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let qa = Arc::clone(&q);
+        let small = thread::spawn(move || qa.pop_linger(2, deadline));
+        await_lingerers(&q, 1);
+        let qb = Arc::clone(&q);
+        let large = thread::spawn(move || qb.pop_linger(5, deadline));
+        await_lingerers(&q, 2);
+        // The smaller want is reached first and must not wait for the
+        // larger one registered after it.
+        q.push(0u32).unwrap();
+        q.push(1).unwrap();
+        assert_eq!(join_within(small, Duration::from_secs(5)), Some(vec![0, 1]));
+        // The remaining lingerer now sees spurious wakes on every push
+        // (the recorded want stays at 2) and sleeps through them until
+        // its own count is queued.
+        for i in 2..6 {
+            q.push(i).unwrap();
+        }
+        thread::sleep(Duration::from_millis(30));
+        assert!(!large.is_finished(), "four of five wanted items");
+        q.push(6).unwrap();
+        assert_eq!(
+            join_within(large, Duration::from_secs(5)),
+            Some(vec![2, 3, 4, 5, 6])
+        );
+    }
+
+    #[test]
+    fn mpmc_stress_loses_no_item() {
+        // Producers block on a small queue while consumers mix every pop
+        // flavour with short deadlines: each item arrives exactly once and
+        // the run finishes in bounded time (a missed wake would stall a
+        // producer on `space` or a consumer until the watchdog fires).
+        const PRODUCERS: u64 = 4;
+        const PER_PRODUCER: u64 = 5_000;
+        let q = Arc::new(BoundedQueue::new(8));
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let q = Arc::clone(&q);
+                thread::spawn(move || {
+                    for i in 0..PER_PRODUCER {
+                        let lane = if i % 7 == 0 {
+                            Lane::Urgent
+                        } else {
+                            Lane::Routine
+                        };
+                        q.push_lane(p * PER_PRODUCER + i, lane).unwrap();
+                    }
+                })
+            })
+            .collect();
+        let consumers: Vec<_> = (0..3)
+            .map(|c| {
+                let q = Arc::clone(&q);
+                thread::spawn(move || {
+                    let mut got = Vec::new();
+                    loop {
+                        let soon = Instant::now() + Duration::from_micros(200);
+                        let batch = match c {
+                            0 => q.pop_up_to(4),
+                            1 => q.pop_up_to_deadline(4, soon),
+                            _ => q.pop_linger(4, soon),
+                        };
+                        match batch {
+                            Some(items) => got.extend(items),
+                            None => return got,
+                        }
+                    }
+                })
+            })
+            .collect();
+        for producer in producers {
+            join_within(producer, Duration::from_secs(30));
+        }
+        q.close();
+        let mut all: Vec<u64> = consumers
+            .into_iter()
+            .flat_map(|c| join_within(c, Duration::from_secs(30)))
+            .collect();
+        all.sort_unstable();
+        assert_eq!(all, (0..PRODUCERS * PER_PRODUCER).collect::<Vec<_>>());
     }
 
     #[test]

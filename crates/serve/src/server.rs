@@ -7,7 +7,9 @@
 //! `&mut self` (each read draws device noise), so a shared engine would
 //! serialize the whole pool behind one lock. Workers pull micro-batches
 //! through a [`Batcher`](crate::Batcher), group them by task, run the
-//! batched kernels, and answer each request through its one-shot channel.
+//! batched kernels, and answer each request through its one-shot reply
+//! slot: one `Arc` holding a `Mutex` and a `Condvar`, which the worker
+//! notifies only when the client is parked on it.
 //!
 //! Resilience (see also [`crate::supervisor`]): admission is governed by
 //! [`AdmissionPolicy`] (load-shed by default, with priority lanes);
@@ -19,7 +21,6 @@
 //! marginal-cell threshold falls back to the bit-exact software path.
 
 use std::collections::BTreeMap;
-use std::sync::mpsc;
 use std::sync::{Arc, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -34,6 +35,7 @@ use crate::batcher::{BatchPolicy, Batcher};
 use crate::fault::ChaosEvent;
 use crate::queue::{BoundedQueue, Lane, PushError};
 use crate::registry::{Backend, ModelEntry, ModelRegistry, ServeTask};
+use crate::reply::{self, Answer, ReplyRx, ReplyTx};
 use crate::retry::RetryPolicy;
 use crate::stats::{ServerStats, StatsSnapshot};
 use crate::supervisor::{FleetHealth, Supervisor, SupervisorPolicy};
@@ -44,7 +46,7 @@ pub enum AdmissionPolicy {
     /// Reject-newest load shedding (the default): a full queue answers
     /// the push with [`ServeError::Overloaded`] immediately; an urgent
     /// push may instead evict the newest *routine* queued request (which
-    /// is answered with `Overloaded` through its own reply channel). No
+    /// is answered with `Overloaded` through its own reply slot). No
     /// producer ever blocks, so an overloaded fleet stays responsive and
     /// stale work is dropped before stale verdicts are served.
     #[default]
@@ -242,7 +244,7 @@ impl RequestRows {
 /// One queued inference request: one or more samples for one task.
 ///
 /// Multi-sample requests (client-side batching — e.g. a monitor shipping a
-/// window of heartbeats) share a single queue slot, reply channel and
+/// window of heartbeats) share a single queue slot, reply slot and
 /// dispatch, so the whole per-request fixed cost amortizes over the
 /// window.
 struct Request {
@@ -256,7 +258,7 @@ struct Request {
     /// batcher's dequeue observer (only while telemetry is enabled), it
     /// separates queue wait from batching linger in span traces.
     dequeued: Option<Instant>,
-    reply: mpsc::Sender<Result<Vec<Prediction>, ServeError>>,
+    reply: ReplyTx,
 }
 
 impl std::fmt::Debug for Request {
@@ -333,7 +335,7 @@ impl Shared {
     /// (backpressure); under [`AdmissionPolicy::Shed`] — or whenever
     /// `force_shed` is set ([`ServeHandle::try_classify`]) — a full queue
     /// answers [`ServeError::Overloaded`] instead, and an urgent push may
-    /// evict the newest queued routine request (whose own reply channel
+    /// evict the newest queued routine request (whose own reply slot
     /// receives `Overloaded`: every accepted enqueue still reaches a
     /// terminal verdict or typed error).
     fn submit(
@@ -343,7 +345,7 @@ impl Shared {
         rows: RequestRows,
         opts: &SubmitOptions,
         force_shed: bool,
-    ) -> Result<mpsc::Receiver<Result<Vec<Prediction>, ServeError>>, ServeError> {
+    ) -> Result<ReplyRx, ServeError> {
         for row in rows.rows() {
             if row.len() != width {
                 return Err(ServeError::FeatureWidth {
@@ -352,7 +354,7 @@ impl Shared {
                 });
             }
         }
-        let (reply, rx) = mpsc::channel();
+        let (tx, rx) = reply::slot();
         let now = Instant::now();
         let request = Request {
             task,
@@ -360,7 +362,7 @@ impl Shared {
             submitted: now,
             deadline: opts.deadline.map(|d| now + d),
             dequeued: None,
-            reply,
+            reply: tx,
         };
         let lane = opts.priority.lane();
         let outcome = if force_shed || self.admission == AdmissionPolicy::Shed {
@@ -372,9 +374,7 @@ impl Shared {
             Ok(evicted) => {
                 if let Some(victim) = evicted {
                     self.stats.record_evicted();
-                    // The evicted client may have given up already; a
-                    // dropped receiver is not an error.
-                    let _ = victim.reply.send(Err(ServeError::Overloaded));
+                    victim.reply.send(Err(ServeError::Overloaded));
                 }
                 self.stats.record_submitted();
                 Ok(rx)
@@ -401,7 +401,7 @@ impl ServeHandle {
         rows: RequestRows,
         opts: &SubmitOptions,
         force_shed: bool,
-    ) -> Result<mpsc::Receiver<Result<Vec<Prediction>, ServeError>>, ServeError> {
+    ) -> Result<ReplyRx, ServeError> {
         // One registry lookup per request (a TaskClient resolves it once
         // instead), one length check per sample.
         let expected = *self
@@ -412,14 +412,8 @@ impl ServeHandle {
         self.shared.submit(task, expected, rows, opts, force_shed)
     }
 
-    fn recv_one(
-        rx: mpsc::Receiver<Result<Vec<Prediction>, ServeError>>,
-    ) -> Result<Prediction, ServeError> {
-        match rx.recv() {
-            Ok(Ok(mut predictions)) => predictions.pop().ok_or(ServeError::ShuttingDown),
-            Ok(Err(e)) => Err(e),
-            Err(_) => Err(ServeError::ShuttingDown),
-        }
+    fn recv_one(rx: ReplyRx) -> Result<Prediction, ServeError> {
+        single(rx.wait())
     }
 
     /// Classifies one feature vector, blocking until the pool answers.
@@ -461,7 +455,7 @@ impl ServeHandle {
             &SubmitOptions::default(),
             false,
         )?;
-        rx.recv().unwrap_or(Err(ServeError::ShuttingDown))
+        rx.wait()
     }
 
     /// Enqueues a request and returns immediately with a [`Pending`]
@@ -615,11 +609,7 @@ impl TaskClient {
         self.width
     }
 
-    fn submit(
-        &self,
-        rows: RequestRows,
-        opts: &SubmitOptions,
-    ) -> Result<mpsc::Receiver<Result<Vec<Prediction>, ServeError>>, ServeError> {
+    fn submit(&self, rows: RequestRows, opts: &SubmitOptions) -> Result<ReplyRx, ServeError> {
         self.shared.submit(self.task, self.width, rows, opts, false)
     }
 
@@ -732,7 +722,7 @@ impl TaskClient {
 /// [`ServeHandle::enqueue`]).
 #[derive(Debug)]
 pub struct Pending {
-    rx: mpsc::Receiver<Result<Vec<Prediction>, ServeError>>,
+    rx: ReplyRx,
 }
 
 impl Pending {
@@ -743,27 +733,26 @@ impl Pending {
 
     /// Returns the answer if it has already arrived.
     pub fn poll(&self) -> Option<Result<Prediction, ServeError>> {
-        match self.rx.try_recv() {
-            Ok(Ok(mut predictions)) => Some(predictions.pop().ok_or(ServeError::ShuttingDown)),
-            Ok(Err(e)) => Some(Err(e)),
-            Err(mpsc::TryRecvError::Empty) => None,
-            // The worker dropped the reply channel unanswered: shutdown.
-            Err(mpsc::TryRecvError::Disconnected) => Some(Err(ServeError::ShuttingDown)),
-        }
+        self.rx.poll().map(single)
     }
+}
+
+/// The one prediction of a single-sample answer.
+fn single(answer: Answer) -> Result<Prediction, ServeError> {
+    answer.and_then(|mut predictions| predictions.pop().ok_or(ServeError::ShuttingDown))
 }
 
 /// A not-yet-answered multi-sample request (from
 /// [`ServeHandle::enqueue_window`]).
 #[derive(Debug)]
 pub struct PendingWindow {
-    rx: mpsc::Receiver<Result<Vec<Prediction>, ServeError>>,
+    rx: ReplyRx,
 }
 
 impl PendingWindow {
     /// Blocks until the pool answers with one prediction per sample.
     pub fn wait(self) -> Result<Vec<Prediction>, ServeError> {
-        self.rx.recv().unwrap_or(Err(ServeError::ShuttingDown))
+        self.rx.wait()
     }
 
     /// Returns the answer if it has already arrived — the non-blocking
@@ -771,12 +760,7 @@ impl PendingWindow {
     /// windows (e.g. a stream router draining whichever patient's verdict
     /// lands first).
     pub fn poll(&self) -> Option<Result<Vec<Prediction>, ServeError>> {
-        match self.rx.try_recv() {
-            Ok(result) => Some(result),
-            Err(mpsc::TryRecvError::Empty) => None,
-            // The worker dropped the reply channel unanswered: shutdown.
-            Err(mpsc::TryRecvError::Disconnected) => Some(Err(ServeError::ShuttingDown)),
-        }
+        self.rx.poll()
     }
 }
 
@@ -1173,11 +1157,13 @@ fn serve_batch(
         // it would only add latency to everything queued behind it.
         if request.deadline.is_some_and(|d| now >= d) {
             shared.stats.record_expired();
-            let _ = request.reply.send(Err(ServeError::DeadlineExceeded));
+            request.reply.send(Err(ServeError::DeadlineExceeded));
             continue;
         }
         by_task.entry(request.task).or_default().push(request);
     }
+    // Only groups that returned logits count as inferred: failed groups
+    // and expired requests never reach the engine's batch statistics.
     let mut senses_total = 0u64;
     let mut samples_total = 0usize;
     for (task, requests) in by_task {
@@ -1212,7 +1198,6 @@ fn serve_batch(
             .iter()
             .flat_map(|r| r.rows.rows().iter().map(Vec::as_slice))
             .collect();
-        samples_total += rows.len();
         // Dispatch stamp: the batch is formed and this task group is
         // handed to the engine. Everything before is queue wait (+linger),
         // everything after is service.
@@ -1248,6 +1233,7 @@ fn serve_batch(
             shared.supervisor.mark_stable(worker_idx, task);
         }
         maybe_degrade(shared, worker_idx, task, replica);
+        samples_total += rows.len();
         senses_total += senses;
         let classes = logits.dim(1);
         let mut offset = 0usize;
@@ -1265,8 +1251,7 @@ fn serve_batch(
             let latency = request.submitted.elapsed();
             let queue_wait = dispatched.duration_since(request.submitted);
             let service = latency.saturating_sub(queue_wait);
-            // A client that gave up is not an error; drop the response.
-            let _ = request.reply.send(Ok(predictions));
+            request.reply.send(Ok(predictions));
             let ordinal = shared
                 .stats
                 .record_completed_split(latency, queue_wait, service);
@@ -1282,9 +1267,11 @@ fn serve_batch(
             }
         }
     }
-    shared
-        .stats
-        .record_batch(worker_idx, samples_total, senses_total);
+    if samples_total > 0 {
+        shared
+            .stats
+            .record_batch(worker_idx, samples_total, senses_total);
+    }
 }
 
 /// Smallest batch capacity an execution plan is compiled for: batches grow
@@ -1346,10 +1333,10 @@ fn adopt_model(shared: &Shared, worker_idx: usize, task: ServeTask, replica: &mu
 }
 
 /// Answers every request of a failed task group with `error`. A client
-/// that already gave up (dropped receiver) is not an error.
+/// that already gave up (dropped its ticket) is not an error.
 fn fail_group(requests: Vec<Request>, error: ServeError) {
     for request in requests {
-        let _ = request.reply.send(Err(error.clone()));
+        request.reply.send(Err(error.clone()));
     }
 }
 
