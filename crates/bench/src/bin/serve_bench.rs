@@ -3,7 +3,7 @@
 //! Drives a pool of engine replicas with pipelined concurrent clients and
 //! reports throughput plus latency percentiles. "Batch size N" means the
 //! system processes N samples per dispatch end to end: clients submit
-//! N-sample window requests ([`rbnn_serve::ServeHandle::enqueue_window`]) and each
+//! N-sample window requests ([`rbnn_serve::TaskClient::enqueue_shared`]) and each
 //! worker dispatch evaluates one window through the batched kernels —
 //! batch size 1 is therefore exactly the single-sample serving the
 //! workspace had before this subsystem. A separate row shows the
@@ -127,7 +127,10 @@ fn drive(
     let t0 = Instant::now();
     let client_threads: Vec<_> = (0..clients)
         .map(|c| {
-            let handle = server.handle();
+            let client = server
+                .handle()
+                .client(ServeTask::Ecg)
+                .expect("ECG registered");
             std::thread::spawn(move || {
                 let mut rng = StdRng::seed_from_u64(0xC11E47 + c as u64);
                 // Pre-generated shared request pool: feature synthesis and
@@ -150,8 +153,7 @@ fn drive(
                         let _ = oldest.wait().expect("served");
                     }
                     let rows = std::sync::Arc::clone(&pool[i % pool.len()]);
-                    in_flight
-                        .push_back(handle.enqueue_shared(ServeTask::Ecg, rows).expect("queued"));
+                    in_flight.push_back(client.enqueue_shared(rows).expect("queued"));
                 }
                 for pending in in_flight {
                     let _ = pending.wait().expect("served");

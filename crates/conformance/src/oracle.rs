@@ -27,12 +27,14 @@
 //! disagreements against the margin model's calibrated flip-probability
 //! bound.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use rbnn_nn::{Layer, Phase};
 use rbnn_rram::{EngineConfig, NetworkEngine};
-use rbnn_serve::{Backend, ModelRegistry, ServeConfig, ServeTask, Server};
+use rbnn_serve::{Backend, ModelRegistry, PendingWindow, ServeConfig, ServeTask, Server};
 use rbnn_tensor::{argmax, Tensor};
 
 use crate::generate::GeneratedModel;
@@ -337,18 +339,15 @@ fn serve_agrees(
             ..Default::default()
         },
     );
-    let handle = server.handle();
+    let client = server.handle().client(ServeTask::Ecg).expect("registered");
 
     // Pipelined single-sample requests: keep the queue deep so the
     // batcher actually forms multi-request batches.
     let mut ok = true;
     let pending: Vec<_> = (0..n)
         .map(|i| {
-            handle
-                .enqueue(
-                    ServeTask::Ecg,
-                    feats.as_slice()[i * width..(i + 1) * width].to_vec(),
-                )
+            client
+                .enqueue(feats.as_slice()[i * width..(i + 1) * width].to_vec())
                 .expect("enqueue")
         })
         .collect();
@@ -366,8 +365,9 @@ fn serve_agrees(
     let window: Vec<Vec<f32>> = (0..n.min(8))
         .map(|i| feats.as_slice()[i * width..(i + 1) * width].to_vec())
         .collect();
-    let answers = handle
-        .classify_window(ServeTask::Ecg, window.clone())
+    let answers = client
+        .enqueue_shared(Arc::new(window.clone()))
+        .and_then(PendingWindow::wait)
         .expect("window served");
     if answers.len() != window.len() {
         ok = false;

@@ -8,11 +8,14 @@
 //!
 //! Request lifecycle:
 //!
-//! 1. a client calls [`ServeHandle::classify`] with a task and feature
-//!    vector; the request is validated against the [`ModelRegistry`] and
-//!    enqueued on a bounded MPMC queue ([`queue::BoundedQueue`]) — a full
-//!    queue *blocks* the caller (backpressure) or, via
-//!    [`ServeHandle::try_classify`], sheds the request;
+//! 1. a client submits one or more feature vectors for a task — every
+//!    entry point ([`ServeHandle::classify`], [`TaskClient::enqueue`], …)
+//!    wraps the one primitive [`TaskClient::submit`]; the request is
+//!    validated against the registered feature width and enqueued on a
+//!    bounded MPMC queue ([`queue::BoundedQueue`]) — a full queue sheds
+//!    the request with [`ServeError::Overloaded`] under the default
+//!    [`AdmissionPolicy::Shed`], or blocks the caller (backpressure) under
+//!    [`AdmissionPolicy::Block`];
 //! 2. a worker pulls a micro-batch through the adaptive [`Batcher`]
 //!    (dispatch immediately when the queue is deep, linger briefly for
 //!    stragglers when it is not);

@@ -36,7 +36,6 @@ use crate::fault::ChaosEvent;
 use crate::queue::{BoundedQueue, Lane, PushError};
 use crate::registry::{Backend, ModelEntry, ModelRegistry, ServeTask};
 use crate::reply::{self, Answer, ReplyRx, ReplyTx};
-use crate::retry::RetryPolicy;
 use crate::stats::{ServerStats, StatsSnapshot};
 use crate::supervisor::{FleetHealth, Supervisor, SupervisorPolicy};
 
@@ -177,9 +176,9 @@ pub enum ServeError {
         /// Width the request carried.
         got: usize,
     },
-    /// The queue is full and the request was load-shed — either rejected
-    /// at admission ([`AdmissionPolicy::Shed`], [`ServeHandle::try_classify`])
-    /// or evicted from the queue by an urgent arrival.
+    /// The queue is full and the request was load-shed under
+    /// [`AdmissionPolicy::Shed`] — either rejected at admission or evicted
+    /// from the queue by an urgent arrival.
     Overloaded,
     /// The server is shutting down.
     ShuttingDown,
@@ -224,23 +223,6 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// Sample storage of a request: owned rows from the plain submit paths, or
-/// a shared window for zero-copy fan-in (a producer can keep one buffer
-/// alive across many requests).
-enum RequestRows {
-    Owned(Vec<Vec<f32>>),
-    Shared(Arc<Vec<Vec<f32>>>),
-}
-
-impl RequestRows {
-    fn rows(&self) -> &[Vec<f32>] {
-        match self {
-            RequestRows::Owned(rows) => rows,
-            RequestRows::Shared(rows) => rows,
-        }
-    }
-}
-
 /// One queued inference request: one or more samples for one task.
 ///
 /// Multi-sample requests (client-side batching — e.g. a monitor shipping a
@@ -249,7 +231,7 @@ impl RequestRows {
 /// window.
 struct Request {
     task: ServeTask,
-    rows: RequestRows,
+    rows: Arc<Vec<Vec<f32>>>,
     submitted: Instant,
     /// Absolute expiry: a worker answers [`ServeError::DeadlineExceeded`]
     /// at dispatch instead of evaluating past this instant.
@@ -265,7 +247,7 @@ impl std::fmt::Debug for Request {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Request")
             .field("task", &self.task)
-            .field("samples", &self.rows.rows().len())
+            .field("samples", &self.rows.len())
             .finish()
     }
 }
@@ -328,31 +310,28 @@ impl Shared {
         slot.entry = Arc::new(entry);
         Ok(slot.version)
     }
-    /// The one enqueue path every client API funnels through: validates
-    /// each sample against the pre-resolved feature `width`, stamps the
-    /// deadline, then pushes onto the request's priority lane. Under
-    /// [`AdmissionPolicy::Block`] a full queue blocks the producer
-    /// (backpressure); under [`AdmissionPolicy::Shed`] — or whenever
-    /// `force_shed` is set ([`ServeHandle::try_classify`]) — a full queue
-    /// answers [`ServeError::Overloaded`] instead, and an urgent push may
+
+    /// The one enqueue path every client API funnels through
+    /// ([`TaskClient::submit`]): validates each sample against the
+    /// pre-resolved feature `width`, stamps the deadline, then pushes onto
+    /// the request's priority lane. Under [`AdmissionPolicy::Shed`] a full
+    /// queue answers [`ServeError::Overloaded`], and an urgent push may
     /// evict the newest queued routine request (whose own reply slot
     /// receives `Overloaded`: every accepted enqueue still reaches a
-    /// terminal verdict or typed error).
+    /// terminal verdict or typed error); under [`AdmissionPolicy::Block`]
+    /// a full queue blocks the producer (backpressure).
     fn submit(
         &self,
         task: ServeTask,
         width: usize,
-        rows: RequestRows,
+        rows: Arc<Vec<Vec<f32>>>,
         opts: &SubmitOptions,
-        force_shed: bool,
     ) -> Result<ReplyRx, ServeError> {
-        for row in rows.rows() {
-            if row.len() != width {
-                return Err(ServeError::FeatureWidth {
-                    expected: width,
-                    got: row.len(),
-                });
-            }
+        if let Some(row) = rows.iter().find(|row| row.len() != width) {
+            return Err(ServeError::FeatureWidth {
+                expected: width,
+                got: row.len(),
+            });
         }
         let (tx, rx) = reply::slot();
         let now = Instant::now();
@@ -365,10 +344,9 @@ impl Shared {
             reply: tx,
         };
         let lane = opts.priority.lane();
-        let outcome = if force_shed || self.admission == AdmissionPolicy::Shed {
-            self.queue.push_shed(request, lane)
-        } else {
-            self.queue.push_lane(request, lane).map(|()| None)
+        let outcome = match self.admission {
+            AdmissionPolicy::Shed => self.queue.push_shed(request, lane),
+            AdmissionPolicy::Block => self.queue.push_lane(request, lane).map(|()| None),
         };
         match outcome {
             Ok(evicted) => {
@@ -395,133 +373,12 @@ pub struct ServeHandle {
 }
 
 impl ServeHandle {
-    fn submit(
-        &self,
-        task: ServeTask,
-        rows: RequestRows,
-        opts: &SubmitOptions,
-        force_shed: bool,
-    ) -> Result<ReplyRx, ServeError> {
-        // One registry lookup per request (a TaskClient resolves it once
-        // instead), one length check per sample.
-        let expected = *self
-            .shared
-            .widths
-            .get(&task)
-            .ok_or(ServeError::UnknownTask(task))?;
-        self.shared.submit(task, expected, rows, opts, force_shed)
-    }
-
-    fn recv_one(rx: ReplyRx) -> Result<Prediction, ServeError> {
-        single(rx.wait())
-    }
-
-    /// Classifies one feature vector, blocking until the pool answers.
-    /// A full queue sheds or blocks according to the server's
+    /// Classifies one feature vector, blocking until the pool answers —
+    /// [`TaskClient::classify`] on a client bound for this one call. A
+    /// full queue sheds or blocks according to the server's
     /// [`AdmissionPolicy`].
     pub fn classify(&self, task: ServeTask, features: Vec<f32>) -> Result<Prediction, ServeError> {
-        let rx = self.submit(
-            task,
-            RequestRows::Owned(vec![features]),
-            &SubmitOptions::default(),
-            false,
-        )?;
-        Self::recv_one(rx)
-    }
-
-    /// [`classify`](Self::classify) with explicit [`SubmitOptions`]
-    /// (priority lane, deadline).
-    pub fn classify_with(
-        &self,
-        task: ServeTask,
-        features: Vec<f32>,
-        opts: &SubmitOptions,
-    ) -> Result<Prediction, ServeError> {
-        let rx = self.submit(task, RequestRows::Owned(vec![features]), opts, false)?;
-        Self::recv_one(rx)
-    }
-
-    /// Classifies a multi-sample request (client-side batch): all samples
-    /// share one queue slot, one dispatch and one reply — the whole
-    /// per-request fixed cost amortizes across the window.
-    pub fn classify_window(
-        &self,
-        task: ServeTask,
-        rows: Vec<Vec<f32>>,
-    ) -> Result<Vec<Prediction>, ServeError> {
-        let rx = self.submit(
-            task,
-            RequestRows::Owned(rows),
-            &SubmitOptions::default(),
-            false,
-        )?;
-        rx.wait()
-    }
-
-    /// Enqueues a request and returns immediately with a [`Pending`]
-    /// ticket — the pipelined client path: keeping a window of outstanding
-    /// requests in flight is what lets the pool form deep batches (a
-    /// strictly synchronous caller never queues more than one).
-    pub fn enqueue(&self, task: ServeTask, features: Vec<f32>) -> Result<Pending, ServeError> {
-        Ok(Pending {
-            rx: self.submit(
-                task,
-                RequestRows::Owned(vec![features]),
-                &SubmitOptions::default(),
-                false,
-            )?,
-        })
-    }
-
-    /// [`enqueue`](Self::enqueue) for a multi-sample request.
-    pub fn enqueue_window(
-        &self,
-        task: ServeTask,
-        rows: Vec<Vec<f32>>,
-    ) -> Result<PendingWindow, ServeError> {
-        Ok(PendingWindow {
-            rx: self.submit(
-                task,
-                RequestRows::Owned(rows),
-                &SubmitOptions::default(),
-                false,
-            )?,
-        })
-    }
-
-    /// Zero-copy variant of [`enqueue_window`](Self::enqueue_window): the
-    /// window is shared, not moved, so a producer replaying one buffer (or
-    /// fanning one window out to several tasks) pays one `Arc` bump per
-    /// request instead of a deep copy.
-    pub fn enqueue_shared(
-        &self,
-        task: ServeTask,
-        rows: Arc<Vec<Vec<f32>>>,
-    ) -> Result<PendingWindow, ServeError> {
-        Ok(PendingWindow {
-            rx: self.submit(
-                task,
-                RequestRows::Shared(rows),
-                &SubmitOptions::default(),
-                false,
-            )?,
-        })
-    }
-
-    /// Like [`classify`](Self::classify) but *always* load-sheds on a
-    /// full queue, regardless of the server's admission policy.
-    pub fn try_classify(
-        &self,
-        task: ServeTask,
-        features: Vec<f32>,
-    ) -> Result<Prediction, ServeError> {
-        let rx = self.submit(
-            task,
-            RequestRows::Owned(vec![features]),
-            &SubmitOptions::default(),
-            true,
-        )?;
-        Self::recv_one(rx)
+        self.client(task)?.classify(features)
     }
 
     /// Current queue depth.
@@ -609,107 +466,51 @@ impl TaskClient {
         self.width
     }
 
-    fn submit(&self, rows: RequestRows, opts: &SubmitOptions) -> Result<ReplyRx, ServeError> {
-        self.shared.submit(self.task, self.width, rows, opts, false)
-    }
-
-    /// Classifies one feature vector, blocking until the pool answers
-    /// (see [`ServeHandle::classify`]).
-    pub fn classify(&self, features: Vec<f32>) -> Result<Prediction, ServeError> {
-        let rx = self.submit(
-            RequestRows::Owned(vec![features]),
-            &SubmitOptions::default(),
-        )?;
-        ServeHandle::recv_one(rx)
-    }
-
-    /// [`classify`](Self::classify) with automatic retry on transient
-    /// failures: shed admissions, transient engine errors and engine
-    /// faults are retried with jittered exponential backoff up to
-    /// `policy.max_attempts` total attempts. Non-retryable errors
-    /// (deadline expiry, shutdown, bad input) return immediately.
-    pub fn classify_retry(
-        &self,
-        features: Vec<f32>,
-        opts: &SubmitOptions,
-        policy: &RetryPolicy,
-    ) -> Result<Prediction, ServeError> {
-        let salt = features.len() as u64;
-        let mut attempt = 0u32;
-        loop {
-            let outcome = self
-                .submit(RequestRows::Owned(vec![features.clone()]), opts)
-                .and_then(ServeHandle::recv_one);
-            match outcome {
-                Err(e) if e.is_retryable() && policy.allows_retry(attempt) => {
-                    std::thread::sleep(policy.backoff(attempt, salt));
-                    attempt += 1;
-                }
-                other => return other,
-            }
-        }
-    }
-
-    /// Enqueues one sample and returns a [`Pending`] ticket (see
-    /// [`ServeHandle::enqueue`]).
-    pub fn enqueue(&self, features: Vec<f32>) -> Result<Pending, ServeError> {
-        Ok(Pending {
-            rx: self.submit(
-                RequestRows::Owned(vec![features]),
-                &SubmitOptions::default(),
-            )?,
-        })
-    }
-
-    /// Enqueues a multi-sample window request (see
-    /// [`ServeHandle::enqueue_window`]).
-    pub fn enqueue_window(&self, rows: Vec<Vec<f32>>) -> Result<PendingWindow, ServeError> {
-        Ok(PendingWindow {
-            rx: self.submit(RequestRows::Owned(rows), &SubmitOptions::default())?,
-        })
-    }
-
-    /// [`enqueue_window`](Self::enqueue_window) with explicit
-    /// [`SubmitOptions`] — the stream router's submission path (urgent
-    /// lane for alarm-adjacent windows, per-window deadlines).
-    pub fn enqueue_window_with(
-        &self,
-        rows: Vec<Vec<f32>>,
-        opts: &SubmitOptions,
-    ) -> Result<PendingWindow, ServeError> {
-        Ok(PendingWindow {
-            rx: self.submit(RequestRows::Owned(rows), opts)?,
-        })
-    }
-
-    /// Zero-copy multi-sample enqueue: the window is shared, not moved
-    /// (see [`ServeHandle::enqueue_shared`]).
-    pub fn enqueue_shared(&self, rows: Arc<Vec<Vec<f32>>>) -> Result<PendingWindow, ServeError> {
-        Ok(PendingWindow {
-            rx: self.submit(RequestRows::Shared(rows), &SubmitOptions::default())?,
-        })
-    }
-
-    /// [`enqueue_shared`](Self::enqueue_shared) with explicit
-    /// [`SubmitOptions`].
-    pub fn enqueue_shared_with(
+    /// Enqueues a request of one or more samples and returns immediately
+    /// with a [`PendingWindow`] ticket — the one submit primitive every
+    /// other entry point wraps. All samples share one queue slot, one
+    /// dispatch and one reply, so the per-request fixed cost amortizes
+    /// across the window; the rows are shared, not copied, so a producer
+    /// can keep one buffer alive across many requests. `opts` picks the
+    /// priority lane and deadline (the stream router submits
+    /// alarm-adjacent windows urgent, each with a deadline).
+    ///
+    /// Fails fast, queuing nothing, with [`ServeError::FeatureWidth`] if
+    /// any sample has the wrong width, [`ServeError::Overloaded`] if the
+    /// queue sheds it, or [`ServeError::ShuttingDown`] once the server
+    /// stops.
+    pub fn submit(
         &self,
         rows: Arc<Vec<Vec<f32>>>,
         opts: &SubmitOptions,
     ) -> Result<PendingWindow, ServeError> {
-        Ok(PendingWindow {
-            rx: self.submit(RequestRows::Shared(rows), opts)?,
-        })
+        let rx = self.shared.submit(self.task, self.width, rows, opts)?;
+        Ok(PendingWindow { rx })
+    }
+
+    /// Enqueues one sample with default options and returns a [`Pending`]
+    /// ticket — the pipelined client path: keeping a window of outstanding
+    /// requests in flight is what lets the pool form deep batches (a
+    /// strictly synchronous caller never queues more than one).
+    pub fn enqueue(&self, features: Vec<f32>) -> Result<Pending, ServeError> {
+        let window = self.submit(Arc::new(vec![features]), &SubmitOptions::default())?;
+        Ok(Pending { rx: window.rx })
+    }
+
+    /// [`submit`](Self::submit) with default options: a zero-copy
+    /// multi-sample request.
+    pub fn enqueue_shared(&self, rows: Arc<Vec<Vec<f32>>>) -> Result<PendingWindow, ServeError> {
+        self.submit(rows, &SubmitOptions::default())
+    }
+
+    /// Classifies one feature vector, blocking until the pool answers.
+    pub fn classify(&self, features: Vec<f32>) -> Result<Prediction, ServeError> {
+        self.enqueue(features)?.wait()
     }
 
     /// Current queue depth.
     pub fn queue_depth(&self) -> usize {
         self.shared.queue.len()
-    }
-
-    /// Point-in-time fleet health (see [`ServeHandle::fleet_health`]).
-    pub fn fleet_health(&self) -> FleetHealth {
-        self.shared.supervisor.fleet_health()
     }
 
     /// Point-in-time server statistics.
@@ -719,7 +520,7 @@ impl TaskClient {
 }
 
 /// A not-yet-answered single-sample request (from
-/// [`ServeHandle::enqueue`]).
+/// [`TaskClient::enqueue`]).
 #[derive(Debug)]
 pub struct Pending {
     rx: ReplyRx,
@@ -728,7 +529,7 @@ pub struct Pending {
 impl Pending {
     /// Blocks until the pool answers.
     pub fn wait(self) -> Result<Prediction, ServeError> {
-        ServeHandle::recv_one(self.rx)
+        single(self.rx.wait())
     }
 
     /// Returns the answer if it has already arrived.
@@ -742,8 +543,8 @@ fn single(answer: Answer) -> Result<Prediction, ServeError> {
     answer.and_then(|mut predictions| predictions.pop().ok_or(ServeError::ShuttingDown))
 }
 
-/// A not-yet-answered multi-sample request (from
-/// [`ServeHandle::enqueue_window`]).
+/// A not-yet-answered request of one or more samples (from
+/// [`TaskClient::submit`] or [`TaskClient::enqueue_shared`]).
 #[derive(Debug)]
 pub struct PendingWindow {
     rx: ReplyRx,
@@ -1196,7 +997,7 @@ fn serve_batch(
         let network = &replica.spec.network;
         let rows: Vec<&[f32]> = requests
             .iter()
-            .flat_map(|r| r.rows.rows().iter().map(Vec::as_slice))
+            .flat_map(|r| r.rows.iter().map(Vec::as_slice))
             .collect();
         // Dispatch stamp: the batch is formed and this task group is
         // handed to the engine. Everything before is queue wait (+linger),
@@ -1238,7 +1039,7 @@ fn serve_batch(
         let classes = logits.dim(1);
         let mut offset = 0usize;
         for request in requests {
-            let predictions: Vec<Prediction> = (offset..offset + request.rows.rows().len())
+            let predictions: Vec<Prediction> = (offset..offset + request.rows.len())
                 .map(|i| {
                     let row = &logits.as_slice()[i * classes..(i + 1) * classes];
                     Prediction {
@@ -1247,7 +1048,7 @@ fn serve_batch(
                     }
                 })
                 .collect();
-            offset += request.rows.rows().len();
+            offset += request.rows.len();
             let latency = request.submitted.elapsed();
             let queue_wait = dispatched.duration_since(request.submitted);
             let service = latency.saturating_sub(queue_wait);
@@ -1261,7 +1062,7 @@ fn serve_batch(
                         queue_wait: dequeued.duration_since(request.submitted),
                         batch_wait: dispatched.duration_since(dequeued),
                         service,
-                        samples: request.rows.rows().len(),
+                        samples: request.rows.len(),
                     });
                 }
             }
@@ -1387,6 +1188,7 @@ pub fn classify_matrix(
     task: ServeTask,
     features: &Tensor,
 ) -> Result<Vec<usize>, ServeError> {
+    let client = handle.client(task)?;
     let n = features.dim(0);
     let f = features.dim(1);
     let xs = features.as_slice();
@@ -1397,7 +1199,7 @@ pub fn classify_matrix(
             let oldest: Pending = in_flight.pop_front().expect("non-empty window");
             classes.push(oldest.wait()?.class);
         }
-        in_flight.push_back(handle.enqueue(task, xs[i * f..(i + 1) * f].to_vec())?);
+        in_flight.push_back(client.enqueue(xs[i * f..(i + 1) * f].to_vec())?);
     }
     for pending in in_flight {
         classes.push(pending.wait()?.class);
@@ -1524,8 +1326,10 @@ mod tests {
         let rows: Vec<Vec<f32>> = (0..13)
             .map(|_| random_features(net.in_features(), &mut rng))
             .collect();
-        let windowed = handle
-            .classify_window(ServeTask::Ecg, rows.clone())
+        let client = handle.client(ServeTask::Ecg).expect("registered");
+        let windowed = client
+            .enqueue_shared(Arc::new(rows.clone()))
+            .and_then(PendingWindow::wait)
             .expect("served window");
         assert_eq!(windowed.len(), rows.len());
         for (row, served) in rows.iter().zip(&windowed) {
@@ -1533,8 +1337,9 @@ mod tests {
             assert_eq!(served.logits, net.logits(row));
         }
         // An empty window is answered with an empty prediction list.
-        let empty = handle
-            .classify_window(ServeTask::Ecg, Vec::new())
+        let empty = client
+            .enqueue_shared(Arc::new(Vec::new()))
+            .and_then(PendingWindow::wait)
             .expect("served");
         assert!(empty.is_empty());
         let snap = server.shutdown();

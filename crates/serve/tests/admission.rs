@@ -9,11 +9,12 @@
 //! process-wide chaos hook (every dispatch stalls), so concurrent test
 //! threads would race the armed plan.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use rbnn_serve::{
-    Backend, ChaosPlan, ModelRegistry, Priority, ServeConfig, ServeError, ServeTask, Server,
-    SubmitOptions,
+    Backend, ChaosPlan, ModelRegistry, PendingWindow, Priority, ServeConfig, ServeError, ServeTask,
+    Server, SubmitOptions,
 };
 
 fn features(registry: &ModelRegistry, task: ServeTask) -> Vec<f32> {
@@ -42,6 +43,7 @@ fn full_queue_sheds_routine_and_urgent_evicts_newest() {
         },
     );
     let handle = server.handle();
+    let client = handle.client(ServeTask::Ecg).expect("registered");
     let ecg = features(&registry, ServeTask::Ecg);
 
     // Jam the worker: every dispatch stalls 150..600 ms.
@@ -53,12 +55,12 @@ fn full_queue_sheds_routine_and_urgent_evicts_newest() {
 
     // A: picked up by the worker and pinned in the stall. Give the worker
     // a moment to dequeue it so the queue is empty again.
-    let pinned = handle.enqueue(ServeTask::Ecg, ecg.clone()).expect("A");
+    let pinned = client.enqueue(ecg.clone()).expect("A");
     std::thread::sleep(Duration::from_millis(60));
 
     // B, C fill the 2-slot queue while the worker is pinned.
-    let b = handle.enqueue(ServeTask::Ecg, ecg.clone()).expect("B");
-    let c = handle.enqueue(ServeTask::Ecg, ecg.clone()).expect("C");
+    let b = client.enqueue(ecg.clone()).expect("B");
+    let c = client.enqueue(ecg.clone()).expect("C");
 
     // D: routine arrival on a full queue is shed at the door.
     let shed = handle.classify(ServeTask::Ecg, ecg.clone());
@@ -69,14 +71,15 @@ fn full_queue_sheds_routine_and_urgent_evicts_newest() {
     );
 
     // E: urgent arrival evicts the newest queued routine request (C).
-    let e = handle.classify_with(
-        ServeTask::Ecg,
-        ecg.clone(),
-        &SubmitOptions {
-            priority: Priority::Urgent,
-            deadline: None,
-        },
-    );
+    let e = client
+        .submit(
+            Arc::new(vec![ecg.clone()]),
+            &SubmitOptions {
+                priority: Priority::Urgent,
+                deadline: None,
+            },
+        )
+        .and_then(PendingWindow::wait);
 
     // C (newest routine) was evicted to make room for E.
     assert_eq!(

@@ -3,10 +3,12 @@
 //! and answered with [`ServeError::DeadlineExceeded`]; a request with
 //! headroom is unaffected.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use rbnn_serve::{
-    Backend, ModelRegistry, Priority, ServeConfig, ServeError, ServeTask, Server, SubmitOptions,
+    Backend, ModelRegistry, PendingWindow, Priority, ServeConfig, ServeError, ServeTask, Server,
+    SubmitOptions,
 };
 
 fn features(registry: &ModelRegistry, task: ServeTask) -> Vec<f32> {
@@ -29,18 +31,19 @@ fn expired_deadline_is_rejected_before_dispatch() {
             ..Default::default()
         },
     );
-    let handle = server.handle();
+    let client = server.handle().client(ServeTask::Ecg).expect("registered");
     let ecg = features(&registry, ServeTask::Ecg);
+    let classify = |opts: &SubmitOptions| {
+        client
+            .submit(Arc::new(vec![ecg.clone()]), opts)
+            .and_then(PendingWindow::wait)
+    };
 
     // A zero deadline is already expired when the batch forms.
-    let expired = handle.classify_with(
-        ServeTask::Ecg,
-        ecg.clone(),
-        &SubmitOptions {
-            deadline: Some(Duration::ZERO),
-            ..Default::default()
-        },
-    );
+    let expired = classify(&SubmitOptions {
+        deadline: Some(Duration::ZERO),
+        ..Default::default()
+    });
     assert_eq!(expired, Err(ServeError::DeadlineExceeded));
     assert!(
         !ServeError::DeadlineExceeded.is_retryable(),
@@ -53,9 +56,7 @@ fn expired_deadline_is_rejected_before_dispatch() {
             priority,
             deadline: Some(Duration::from_secs(30)),
         };
-        handle
-            .classify_with(ServeTask::Ecg, ecg.clone(), &opts)
-            .expect("deadline with headroom serves normally");
+        classify(&opts).expect("deadline with headroom serves normally");
     }
 
     let snap = server.shutdown();

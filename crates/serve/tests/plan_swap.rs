@@ -9,7 +9,8 @@ use std::sync::Arc;
 
 use rbnn_rram::EngineConfig;
 use rbnn_serve::{
-    demo_network, Backend, ModelEntry, ModelRegistry, ServeConfig, ServeError, ServeTask, Server,
+    demo_network, Backend, ModelEntry, ModelRegistry, PendingWindow, ServeConfig, ServeError,
+    ServeTask, Server,
 };
 
 const DIMS: &[usize] = &[40, 24, 4];
@@ -205,7 +206,9 @@ fn served_logits_are_bitwise_equal_to_the_scalar_oracle_at_edge_widths() {
         assert_eq!(bits(&p.logits), bits(&net.logits(row)));
     }
     let window = handle
-        .classify_window(ServeTask::Ecg, rows.clone())
+        .client(ServeTask::Ecg)
+        .and_then(|client| client.enqueue_shared(Arc::new(rows.clone())))
+        .and_then(PendingWindow::wait)
         .expect("window served");
     assert_eq!(window.len(), rows.len());
     for (row, p) in rows.iter().zip(&window) {

@@ -6,6 +6,7 @@
 //! One test function on purpose: the chaos hook is process-wide, so
 //! concurrent test threads arming it would race each other.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use rbnn_serve::{
@@ -62,7 +63,7 @@ fn failed_and_expired_groups_are_not_counted_as_inferred() {
         ..SubmitOptions::default()
     };
     let pending = client
-        .enqueue_window_with(vec![features.clone()], &expired)
+        .submit(Arc::new(vec![features.clone()]), &expired)
         .expect("admitted");
     assert_eq!(pending.wait(), Err(ServeError::DeadlineExceeded));
 

@@ -617,7 +617,7 @@ fn submit_request(
         },
         deadline: cfg.deadline,
     };
-    match client.enqueue_shared_with(Arc::clone(&rows), &opts) {
+    match client.submit(Arc::clone(&rows), &opts) {
         Ok(pending) => {
             p.in_flight.push_back(InFlight {
                 pending,

@@ -23,13 +23,12 @@
 //!   fixed k-order, so results are bitwise identical for every thread
 //!   count.
 //!
-//! The pre-overhaul loops are preserved in [`reference`](mod@reference) and can be selected
-//! at runtime with [`set_reference_kernels`]; `train_bench` uses that to
-//! measure honest before/after speedups and the test-suite uses the naive
-//! triple loop as the parity oracle.
+//! There is one kernel oracle: the forced-scalar micro kernel
+//! ([`crate::set_forced_scalar`], or `RBNN_KERNELS=scalar`), which must
+//! agree with the dispatched kernel bit for bit. The tests additionally
+//! check every layout against a naive triple loop to tolerance.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::kernels::dispatch::{gemm_kernel, GemmKernel};
 use crate::par;
@@ -44,35 +43,12 @@ pub const NR: usize = 16;
 /// and every row panel streams over the stripe from L2/L3.
 const NC: usize = 256;
 
-static REFERENCE_MODE: AtomicBool = AtomicBool::new(false);
-
 /// Serializes tests that toggle process-global kernel state
-/// ([`set_reference_kernels`], [`crate::set_forced_scalar`]) against tests
-/// whose assertions would observe the toggle (bitwise comparisons between
-/// two kernel invocations, timing measurements).
+/// ([`crate::set_forced_scalar`], the `par` thread-count override) against
+/// tests whose assertions would observe the toggle (bitwise comparisons
+/// between two kernel invocations, timing measurements).
 #[cfg(test)]
 pub(crate) static TEST_GLOBALS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-/// Routes `matmul` / `matmul_tn` / `matmul_nt` through the pre-overhaul
-/// loops instead of the packed micro-kernels.
-///
-/// This exists for honest benchmarking (`train_bench` measures its baseline
-/// with the reference kernels) and for debugging numerical differences; it
-/// is process-global and not meant for production use.
-pub fn set_reference_kernels(on: bool) {
-    // SeqCst: test/bench-only global toggle, far off the hot path — the
-    // strongest ordering makes the switch immediately visible to every
-    // thread of a sweep without reasoning about weaker fences.
-    REFERENCE_MODE.store(on, Ordering::SeqCst);
-}
-
-/// True when [`set_reference_kernels`] routed the kernels to the
-/// pre-overhaul loops.
-pub fn reference_kernels_enabled() -> bool {
-    // SeqCst: pairs with the store in `set_reference_kernels`; checked once
-    // per GEMM call, so the fence cost is irrelevant.
-    REFERENCE_MODE.load(Ordering::SeqCst)
-}
 
 /// How an operand matrix is laid out relative to the logical GEMM operand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -444,98 +420,6 @@ unsafe impl Send for SendPtr {}
 // uphold the disjoint-row contract documented above.
 unsafe impl Sync for SendPtr {}
 
-/// The pre-overhaul kernels, kept verbatim as benchmarking baselines and
-/// parity oracles (see [`set_reference_kernels`]).
-pub mod reference {
-    use crate::par;
-
-    const BLOCK: usize = 64;
-
-    /// Pre-overhaul `A × B`: cache-blocked `ikj` with a zero-skip branch.
-    pub fn matmul(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-        out.fill(0.0);
-        let out_ptr = SendPtr(out.as_mut_ptr());
-        let row_blocks = m.div_ceil(BLOCK);
-        par::par_for(row_blocks, |bi| {
-            let i0 = bi * BLOCK;
-            let i1 = (i0 + BLOCK).min(m);
-            let out_ptr = &out_ptr;
-            for p0 in (0..k).step_by(BLOCK) {
-                let p1 = (p0 + BLOCK).min(k);
-                for i in i0..i1 {
-                    // SAFETY: `i < i1 <= m`, so row `i` lies inside the
-                    // `m × n` output; `par_for` hands each row block to
-                    // exactly one worker, so no other thread writes rows
-                    // `i0..i1` concurrently.
-                    let orow = unsafe { std::slice::from_raw_parts_mut(out_ptr.0.add(i * n), n) };
-                    for p in p0..p1 {
-                        let av = a[i * k + p];
-                        if av == 0.0 {
-                            continue;
-                        }
-                        let brow = &b[p * n..(p + 1) * n];
-                        for (ov, &bv) in orow.iter_mut().zip(brow) {
-                            *ov += av * bv;
-                        }
-                    }
-                }
-            }
-        });
-    }
-
-    /// Pre-overhaul `Aᵀ × B`: row-streaming accumulation with the
-    /// `av == 0.0` skip branch that defeated vectorization on dense
-    /// gradients.
-    pub fn matmul_tn(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize, n: usize) {
-        out.fill(0.0);
-        for p in 0..k {
-            let arow = &a[p * m..(p + 1) * m];
-            let brow = &b[p * n..(p + 1) * n];
-            for (i, &av) in arow.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let orow = &mut out[i * n..(i + 1) * n];
-                for (ov, &bv) in orow.iter_mut().zip(brow) {
-                    *ov += av * bv;
-                }
-            }
-        }
-    }
-
-    /// Pre-overhaul `A × Bᵀ`: a scalar dot-product per output element (the
-    /// sequential float reduction LLVM cannot reassociate, hence cannot
-    /// vectorize).
-    pub fn matmul_nt(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-        let out_ptr = SendPtr(out.as_mut_ptr());
-        let out_ptr = &out_ptr;
-        par::par_for(m, |i| {
-            // SAFETY: `i < m`, so row `i` is inside the `m × n` output, and
-            // `par_for` assigns each `i` to exactly one worker — disjoint
-            // row writes, no aliasing.
-            let orow = unsafe { std::slice::from_raw_parts_mut(out_ptr.0.add(i * n), n) };
-            let arow = &a[i * k..(i + 1) * k];
-            for (j, o) in orow.iter_mut().enumerate() {
-                let brow = &b[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for (&x, &y) in arow.iter().zip(brow) {
-                    acc += x * y;
-                }
-                *o = acc;
-            }
-        });
-    }
-
-    struct SendPtr(*mut f32);
-    // SAFETY: shared only inside `par_for` scopes whose workers write
-    // disjoint output rows; transferring the pointer cannot introduce
-    // aliased mutable access.
-    unsafe impl Send for SendPtr {}
-    // SAFETY: `&SendPtr` exposes only the raw pointer value; every deref
-    // site upholds the one-worker-per-row contract.
-    unsafe impl Sync for SendPtr {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -625,25 +509,6 @@ mod tests {
         assert_eq!(out[0], 11.0);
     }
 
-    #[test]
-    fn reference_kernels_match_naive() {
-        let mut rng = StdRng::seed_from_u64(100);
-        for &(m, k, n) in &[(3, 5, 2), (17, 33, 9)] {
-            let a: Vec<f32> = (0..m * k).map(|_| rng.gen_range(-1.0..1.0f32)).collect();
-            let b: Vec<f32> = (0..k * n).map(|_| rng.gen_range(-1.0..1.0f32)).collect();
-            let expect = naive(&a, &b, m, k, n);
-            let mut out = vec![0.0f32; m * n];
-            reference::matmul(&a, &b, &mut out, m, k, n);
-            assert!(out.iter().zip(&expect).all(|(g, w)| (g - w).abs() < 1e-3));
-            let at = transpose(&a, m, k);
-            reference::matmul_tn(&at, &b, &mut out, k, m, n);
-            assert!(out.iter().zip(&expect).all(|(g, w)| (g - w).abs() < 1e-3));
-            let bt = transpose(&b, k, n);
-            reference::matmul_nt(&a, &bt, &mut out, m, k, n);
-            assert!(out.iter().zip(&expect).all(|(g, w)| (g - w).abs() < 1e-3));
-        }
-    }
-
     /// Satellite regression test for the `cfg(target_feature = "fma")` bug:
     /// the forced-scalar and runtime-dispatched micro kernels must agree
     /// **bit for bit** on the same host (the canonical fused contraction
@@ -693,17 +558,5 @@ mod tests {
                 assert!((got - want).abs() <= 1e-3, "({m},{k},{n}): {got} vs {want}");
             }
         }
-    }
-
-    #[test]
-    fn reference_mode_toggle_roundtrip() {
-        // Hold the globals lock so concurrently running bitwise-equality
-        // tests never observe the toggled kernel routing.
-        let _guard = TEST_GLOBALS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        assert!(!reference_kernels_enabled());
-        set_reference_kernels(true);
-        assert!(reference_kernels_enabled());
-        set_reference_kernels(false);
-        assert!(!reference_kernels_enabled());
     }
 }

@@ -41,7 +41,6 @@ mod shape;
 mod tensor;
 
 pub use bits::{pack_signs_into, xnor_popcount, BitMatrix, BitVec, InterleavedRows};
-pub use gemm::{reference_kernels_enabled, set_reference_kernels};
 pub use im2col::{
     im2col1d, im2col1d_backward, im2col1d_batch, im2col1d_batch_backward, im2col2d,
     im2col2d_backward, im2col2d_batch, im2col2d_batch_backward, Conv1dGeom, Conv2dGeom,

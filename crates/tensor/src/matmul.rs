@@ -37,20 +37,16 @@ impl Tensor {
         let (k2, n) = (rhs.dim(0), rhs.dim(1));
         assert_eq!(k, k2, "matmul: inner dimensions {k} and {k2} disagree");
         out.resize_for_overwrite([m, n]); // the kernels fully overwrite `out`
-        if gemm::reference_kernels_enabled() {
-            gemm::reference::matmul(self.as_slice(), rhs.as_slice(), out.as_mut_slice(), m, k, n);
-        } else {
-            gemm::gemm(
-                self.as_slice(),
-                Layout::RowMajor,
-                rhs.as_slice(),
-                Layout::RowMajor,
-                m,
-                k,
-                n,
-                out.as_mut_slice(),
-            );
-        }
+        gemm::gemm(
+            self.as_slice(),
+            Layout::RowMajor,
+            rhs.as_slice(),
+            Layout::RowMajor,
+            m,
+            k,
+            n,
+            out.as_mut_slice(),
+        );
     }
 
     /// Matrix product `selfᵀ × rhs` without materializing the transpose.
@@ -75,27 +71,16 @@ impl Tensor {
         let (k2, n) = (rhs.dim(0), rhs.dim(1));
         assert_eq!(k, k2, "matmul_tn: leading dimensions {k} and {k2} disagree");
         out.resize_for_overwrite([m, n]); // the kernels fully overwrite `out`
-        if gemm::reference_kernels_enabled() {
-            gemm::reference::matmul_tn(
-                self.as_slice(),
-                rhs.as_slice(),
-                out.as_mut_slice(),
-                k,
-                m,
-                n,
-            );
-        } else {
-            gemm::gemm(
-                self.as_slice(),
-                Layout::Transposed,
-                rhs.as_slice(),
-                Layout::RowMajor,
-                m,
-                k,
-                n,
-                out.as_mut_slice(),
-            );
-        }
+        gemm::gemm(
+            self.as_slice(),
+            Layout::Transposed,
+            rhs.as_slice(),
+            Layout::RowMajor,
+            m,
+            k,
+            n,
+            out.as_mut_slice(),
+        );
     }
 
     /// Matrix product `self × rhsᵀ` without materializing the transpose.
@@ -124,27 +109,16 @@ impl Tensor {
             "matmul_nt: trailing dimensions {k} and {k2} disagree"
         );
         out.resize_for_overwrite([m, n]); // the kernels fully overwrite `out`
-        if gemm::reference_kernels_enabled() {
-            gemm::reference::matmul_nt(
-                self.as_slice(),
-                rhs.as_slice(),
-                out.as_mut_slice(),
-                m,
-                k,
-                n,
-            );
-        } else {
-            gemm::gemm(
-                self.as_slice(),
-                Layout::RowMajor,
-                rhs.as_slice(),
-                Layout::Transposed,
-                m,
-                k,
-                n,
-                out.as_mut_slice(),
-            );
-        }
+        gemm::gemm(
+            self.as_slice(),
+            Layout::RowMajor,
+            rhs.as_slice(),
+            Layout::Transposed,
+            m,
+            k,
+            n,
+            out.as_mut_slice(),
+        );
     }
 
     /// Matrix–vector product `self × v` for a 2-D tensor and 1-D vector.
@@ -241,8 +215,9 @@ mod tests {
 
     #[test]
     fn into_variants_reuse_allocation_and_match() {
-        // Exact-equality comparisons between kernel invocations: keep the
-        // reference-mode toggle test from racing the routing global.
+        // Exact-equality comparisons between kernel invocations: serialize
+        // against the forced-scalar toggle so a scalar/dispatched parity
+        // regression fails its own test, not this one.
         let _guard = crate::gemm::TEST_GLOBALS_LOCK
             .lock()
             .unwrap_or_else(|e| e.into_inner());
@@ -266,8 +241,9 @@ mod tests {
         // The kernel splits row panels across workers but fixes the
         // accumulation order per element, so results must be bitwise equal
         // for every worker count. The override only changes scheduling for
-        // any concurrently running test, never results — but the
-        // reference-mode toggle would change routing, so serialize.
+        // any concurrently running test, never results; serialize against
+        // the forced-scalar toggle all the same, so a parity regression
+        // fails its own test, not this one.
         let _guard = crate::gemm::TEST_GLOBALS_LOCK
             .lock()
             .unwrap_or_else(|e| e.into_inner());

@@ -1,7 +1,9 @@
 //! Served == direct through the request paths the serving runtime is
 //! optimised for: pipelined single-sample requests merged by the batcher,
 //! zero-copy shared windows collected by polling, urgent eviction under
-//! overload, and requests still outstanding at shutdown.
+//! overload, and requests still outstanding at shutdown — plus the typed
+//! errors of the one submit primitive (expired deadline, a window with
+//! one bad row, an unregistered task).
 //!
 //! Small model (the deployed ECG shape, 408→75→2) so the whole file runs
 //! in well under two seconds in a debug build.
@@ -166,7 +168,7 @@ fn urgent_arrival_evicts_the_newest_routine_request() {
         };
         let before = client.stats().evicted;
         let urgent = full
-            .then(|| client.enqueue_window_with(vec![probe.clone()], &SubmitOptions::urgent(None)));
+            .then(|| client.submit(Arc::new(vec![probe.clone()]), &SubmitOptions::urgent(None)));
         let urgent_evicted = full && client.stats().evicted > before;
         // Every accepted request still ends in a typed answer.
         hog.wait().expect("hog served");
@@ -236,4 +238,50 @@ fn requests_outstanding_at_shutdown_end_in_a_typed_result() {
         client.enqueue(inputs[0].clone()).map(|_| ()),
         Err(ServeError::ShuttingDown)
     );
+}
+
+#[test]
+fn submit_past_its_deadline_is_answered_deadline_exceeded() {
+    let registry = registry(25);
+    let server = Server::start(&registry, &ServeConfig::default());
+    let client = server.handle().client(ServeTask::Ecg).expect("registered");
+    let row = rows(1, &mut StdRng::seed_from_u64(5));
+    let before = client.stats().expired;
+    let answer = client
+        .submit(Arc::new(row), &SubmitOptions::urgent(Some(Duration::ZERO)))
+        .expect("admitted")
+        .wait();
+    assert_eq!(answer, Err(ServeError::DeadlineExceeded));
+    assert_eq!(client.stats().expired, before + 1);
+    server.shutdown();
+}
+
+#[test]
+fn window_with_a_short_last_row_is_refused_before_queueing() {
+    let registry = registry(26);
+    let server = Server::start(&registry, &ServeConfig::default());
+    let client = server.handle().client(ServeTask::Ecg).expect("registered");
+    let mut window = rows(3, &mut StdRng::seed_from_u64(6));
+    window[2].pop();
+    let before = client.stats().submitted;
+    let refused = client.submit(Arc::new(window), &SubmitOptions::default());
+    assert_eq!(
+        refused.map(|_| ()),
+        Err(ServeError::FeatureWidth {
+            expected: DIMS[0],
+            got: DIMS[0] - 1
+        })
+    );
+    assert_eq!(client.stats().submitted, before, "nothing was queued");
+    server.shutdown();
+}
+
+#[test]
+fn classify_on_an_unregistered_task_is_unknown_task() {
+    let server = Server::start(&registry(27), &ServeConfig::default());
+    assert_eq!(
+        server.handle().classify(ServeTask::Eeg, vec![0.0; DIMS[0]]),
+        Err(ServeError::UnknownTask(ServeTask::Eeg))
+    );
+    server.shutdown();
 }
