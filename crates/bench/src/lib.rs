@@ -347,7 +347,7 @@ mod tests {
         #[cfg(target_arch = "x86_64")]
         assert!(d.features.contains("sse2"), "x86_64 must report sse2");
         assert!(["scalar", "avx2-harley-seal", "avx512-vpopcntdq"].contains(&d.popcount.as_str()));
-        assert!(["scalar", "avx-movemask"].contains(&d.pack.as_str()));
+        assert!(["scalar", "avx-movemask", "avx512-cmp-mask"].contains(&d.pack.as_str()));
         assert!(["scalar-fma", "avx2-fma"].contains(&d.gemm.as_str()));
         let env = BenchEnvelope {
             bench: "selftest",

@@ -12,16 +12,17 @@
 //!
 //! Replay is bitwise-equal to the single-sample scalar oracle
 //! ([`BinaryNetwork::logits`]) by construction: packing uses the same
-//! dispatched sign-pack kernel, popcounts the same dispatched XNOR-popcount
-//! kernel, hidden activations the same [`FoldedThreshold::fire`]
-//! comparison, and logits the same `scale · (2p − n) + shift` float
-//! expression evaluated in the same per-sample, ascending-neuron order.
+//! dispatched sign-pack kernel; each hidden layer is one fused rows-kernel
+//! dispatch per batch whose in-register comparison is the
+//! [`FoldedThreshold::fire`] rule on exact integer counts; and logits use
+//! the same `scale · (2p − n) + shift` float expression evaluated in the
+//! same per-sample, ascending-neuron order.
 
 use crate::fuse::{fuse, FusedOp};
 use crate::graph::lower;
 use crate::plan::{plan_arena, BufferRequest};
 use rbnn_binary::{BinaryNetwork, FoldedThreshold};
-use rbnn_tensor::{pack_signs_into, InterleavedRows};
+use rbnn_tensor::{pack_signs_into, InterleavedRows, RowThresholds};
 
 const WORD_BITS: usize = 64;
 
@@ -69,8 +70,9 @@ pub enum Step {
         /// Packed-input region.
         dst: Region,
     },
-    /// Fused hidden layer: XNOR-popcount → threshold → sign-pack, one pass
-    /// from `src` to `dst` with no materialized count matrix.
+    /// Fused hidden layer: XNOR-popcount → threshold → sign-pack, one
+    /// kernel dispatch from `src` to `dst` for the whole batch with no
+    /// materialized count matrix.
     FusedHidden {
         /// Layer index into the plan's network.
         layer: usize,
@@ -78,8 +80,12 @@ pub enum Step {
         src: Region,
         /// Output activation region.
         dst: Region,
-        /// Folded integer thresholds, one per output neuron.
+        /// Folded integer thresholds, one per output neuron (engines that
+        /// sense popcounts themselves fire these).
         thresholds: Vec<FoldedThreshold>,
+        /// The same thresholds in the fused rows kernel's layout: word
+        /// slack folded in, padded rows never firing.
+        kernel_thresholds: RowThresholds,
         /// Weight rows copied into the batched popcount kernel's
         /// lane-interleaved layout at compile time.
         weights: InterleavedRows,
@@ -103,7 +109,7 @@ pub enum Step {
 
 /// Caller-owned replay storage for one [`ExecPlan`]: the word arena every
 /// packed activation region lives in, plus the per-sample popcount scratch
-/// the fused kernels stream counts through. Allocated once by
+/// the fused output step streams counts through. Allocated once by
 /// [`ExecPlan::buffers`]; replay never grows either.
 #[derive(Debug, Clone)]
 pub struct PlanBuffers {
@@ -190,13 +196,20 @@ impl ExecPlan {
                 FusedOp::Pack => Step::Pack {
                     dst: region(step.dst),
                 },
-                FusedOp::FusedHidden { layer } => Step::FusedHidden {
-                    layer,
-                    src: region(step.src),
-                    dst: region(step.dst),
-                    thresholds: layers[layer].folded_thresholds(),
-                    weights: InterleavedRows::from_matrix(layers[layer].weights()),
-                },
+                FusedOp::FusedHidden { layer } => {
+                    let thresholds = layers[layer].folded_thresholds();
+                    let weights = InterleavedRows::from_matrix(layers[layer].weights());
+                    let kernel_thresholds = weights
+                        .fold_thresholds(thresholds.iter().map(|t| (t.min_popcount, t.negate)));
+                    Step::FusedHidden {
+                        layer,
+                        src: region(step.src),
+                        dst: region(step.dst),
+                        thresholds,
+                        kernel_thresholds,
+                        weights,
+                    }
+                }
                 FusedOp::FusedLogits { layer } => {
                     let (scale, shift) = layers[layer].affine();
                     Step::FusedLogits {
@@ -212,10 +225,8 @@ impl ExecPlan {
         let counts_len = steps
             .iter()
             .map(|s| match s {
-                Step::Pack { .. } => 0,
-                Step::FusedHidden { weights, .. } | Step::FusedLogits { weights, .. } => {
-                    weights.padded_rows()
-                }
+                Step::FusedLogits { weights, .. } => weights.padded_rows(),
+                _ => 0,
             })
             .max()
             .unwrap_or(0);
@@ -312,10 +323,10 @@ impl ExecPlan {
                 Step::FusedHidden {
                     src,
                     dst,
-                    thresholds,
+                    kernel_thresholds,
                     weights,
                     ..
-                } => fused_hidden(weights, src, dst, thresholds, n, arena, counts),
+                } => fused_hidden(weights, kernel_thresholds, src, dst, n, arena),
                 Step::FusedLogits {
                     src,
                     scale,
@@ -342,43 +353,21 @@ pub fn pack_rows(rows: &[&[f32]], dst: &Region, arena: &mut [u64]) {
     }
 }
 
-/// Fused hidden-layer kernel: for each sample row, one batched
-/// XNOR-popcount sweep over the interleaved weight rows (a single kernel
-/// dispatch per sample), then the folded thresholds fire and the sign bits
-/// accumulate in a word register flushed straight into `dst`. Counts pass
-/// through the plan's fixed scratch — never a per-request allocation, never
-/// a materialized `[batch, out]` matrix.
-///
-/// The threshold comparison is written out against [`FoldedThreshold`]'s
-/// public fields rather than through `fire` so it inlines into the packing
-/// loop; the expression is identical.
+/// Fused hidden-layer kernel: one dispatch of the fused rows kernel over
+/// all `n` source rows — XNOR-popcount, the folded thresholds compared in
+/// registers, sign bits written straight into the `dst` rows. No count
+/// scratch, no per-request allocation, no materialized `[batch, out]`
+/// matrix.
 fn fused_hidden(
     weights: &InterleavedRows,
+    thresholds: &RowThresholds,
     src: &Region,
     dst: &Region,
-    thresholds: &[FoldedThreshold],
     n: usize,
     arena: &mut [u64],
-    counts: &mut [u32],
 ) {
     let (src_words, dst_words) = split_src_dst(arena, src, dst, n);
-    for i in 0..n {
-        let x = &src_words[i * src.words_per_row..(i + 1) * src.words_per_row];
-        weights.popcounts_into(x, counts);
-        let drow = &mut dst_words[i * dst.words_per_row..(i + 1) * dst.words_per_row];
-        for (w, word) in drow.iter_mut().enumerate() {
-            let base = w * WORD_BITS;
-            let m = WORD_BITS.min(dst.width - base);
-            let mut acc = 0u64;
-            for b in 0..m {
-                let r = base + b;
-                let th = thresholds[r];
-                let fire = (counts[r] as i64 >= th.min_popcount) ^ th.negate;
-                acc |= (fire as u64) << b;
-            }
-            *word = acc;
-        }
-    }
+    weights.threshold_pack_into(thresholds, src_words, dst_words);
 }
 
 /// Fused output-layer kernel: one batched XNOR-popcount sweep of the class
@@ -410,8 +399,8 @@ fn fused_logits(
 
 /// Fires `thresholds` against pre-sensed popcounts and packs the verdict
 /// bits into one destination row, overwriting every word — the
-/// threshold+pack half of the fused hidden kernel, exposed for engines
-/// (e.g. the RRAM tile simulator) that produce popcounts externally.
+/// threshold+pack stage of a fused hidden step, for engines (e.g. the
+/// RRAM tile simulator) that produce popcounts externally.
 ///
 /// Bit layout matches the fused hidden kernel's output exactly.
 ///

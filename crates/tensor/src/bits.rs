@@ -630,17 +630,22 @@ impl fmt::Debug for BitMatrix {
 }
 
 /// A [`BitMatrix`] copied into the lane-interleaved layout of the batched
-/// XNOR-popcount kernel: rows are grouped in blocks of four, and within a
-/// block word `j` of the four rows sits contiguously, so one 256-bit load
-/// fetches the same word column of the whole block.
+/// XNOR-popcount kernels: rows are grouped in blocks of eight, and within a
+/// block word `j` of the eight rows sits contiguously, so one 512-bit load
+/// fetches the same word column of the whole block (AVX2 reads it as two
+/// 256-bit halves). The layout is the same on every host.
 ///
 /// Built once (an allocation — e.g. at execution-plan compile time) and
-/// queried many times with [`popcounts_into`](Self::popcounts_into), which
-/// resolves the popcount kernel **once per call** instead of once per row.
+/// queried many times. [`popcounts_into`](Self::popcounts_into) counts one
+/// operand against every row with one kernel dispatch;
+/// [`threshold_pack_into`](Self::threshold_pack_into) runs a whole fused
+/// hidden layer — count, threshold against [`RowThresholds`] held in
+/// registers, sign-pack — for a batch of operands with one dispatch, the
+/// AVX-512 kernel streaming several samples past each loaded weight column.
 /// For the short rows typical of fused-executor replay (a few words each),
 /// per-row dispatch, bounds checks, and SIMD remainder handling cost more
 /// than the popcounts themselves; this layout amortizes all three across
-/// the matrix.
+/// the matrix and the batch.
 #[derive(Clone, PartialEq, Eq)]
 pub struct InterleavedRows {
     words: Vec<u64>,
@@ -723,13 +728,105 @@ impl InterleavedRows {
             "x tail bits beyond len must be zero"
         );
         popcount::xnor_popcount_rows(&self.words, self.words_per_row, x, &mut out[..padded]);
-        let slack = (self.words_per_row * WORD_BITS - self.len) as u32;
+        let slack = self.slack() as u32;
         if slack != 0 {
             for c in &mut out[..self.rows] {
                 *c -= slack;
             }
         }
     }
+
+    /// Folds per-row firing rules `(min_popcount, negate)` — a row fires
+    /// when `(popcount >= min_popcount) ^ negate`, the rule of
+    /// `rbnn_binary::FoldedThreshold::fire` — into the layout
+    /// [`threshold_pack_into`](Self::threshold_pack_into) compares in
+    /// registers.
+    ///
+    /// The kernels count whole words, so each threshold absorbs the
+    /// constant word slack (`min_popcount.saturating_add(slack)`, exact
+    /// under the zero-tail invariant). Padded rows get `i64::MAX` with no
+    /// negate bit and therefore never fire, which keeps the destination's
+    /// tail bits zero for the next layer.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `rules` yields exactly [`rows`](Self::rows) entries.
+    pub fn fold_thresholds(&self, rules: impl IntoIterator<Item = (i64, bool)>) -> RowThresholds {
+        let slack = self.slack();
+        let padded = self.padded_rows();
+        let mut min_counts = vec![i64::MAX; padded];
+        let mut negate = vec![0u8; padded / popcount::ROW_LANES];
+        let mut rows = 0;
+        for (r, (min_popcount, neg)) in rules.into_iter().enumerate() {
+            assert!(r < self.rows, "more thresholds than rows");
+            min_counts[r] = min_popcount.saturating_add(slack as i64);
+            negate[r / popcount::ROW_LANES] |= u8::from(neg) << (r % popcount::ROW_LANES);
+            rows += 1;
+        }
+        assert_eq!(rows, self.rows, "one threshold per row");
+        RowThresholds {
+            min_counts,
+            negate,
+            slack,
+        }
+    }
+
+    /// Fused hidden layer over a batch, with a single kernel dispatch: for
+    /// every sample row of `xs` (`len().div_ceil(64)` words each), fires
+    /// row `r` by `thresholds` on `popcount(XNOR(row_r, x))` and packs the
+    /// verdicts into that sample's row of `dst`
+    /// (`rows().div_ceil(64)` words each, every word overwritten, tail
+    /// bits beyond [`rows`](Self::rows) zero). The batch size is `dst`'s
+    /// row count. Bitwise equal to counting each row with [`xnor_popcount`]
+    /// and firing it by the folded rule, on every kernel.
+    ///
+    /// Tail bits beyond `len` in each `x` row **must be zero**, as for
+    /// [`popcounts_into`](Self::popcounts_into). Debug builds assert it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `thresholds` was folded for a different matrix shape,
+    /// `dst` is not a whole number of rows, or `xs` holds fewer rows.
+    #[inline]
+    pub fn threshold_pack_into(&self, thresholds: &RowThresholds, xs: &[u64], dst: &mut [u64]) {
+        assert!(
+            thresholds.min_counts.len() == self.padded_rows() && thresholds.slack == self.slack(),
+            "thresholds folded for a different matrix"
+        );
+        debug_assert!(
+            self.words_per_row == 0
+                || xs
+                    .chunks_exact(self.words_per_row)
+                    .all(|x| x[self.words_per_row - 1] & !tail_mask(self.len) == 0),
+            "x tail bits beyond len must be zero"
+        );
+        popcount::xnor_threshold_pack_rows(
+            &self.words,
+            self.words_per_row,
+            &thresholds.min_counts,
+            &thresholds.negate,
+            xs,
+            dst,
+        );
+    }
+
+    /// Bits of whole-word padding per row: the constant the kernels' XNOR
+    /// counts exceed the true counts by under the zero-tail invariant.
+    fn slack(&self) -> usize {
+        self.words_per_row * WORD_BITS - self.len
+    }
+}
+
+/// Per-row firing rules of an [`InterleavedRows`] matrix, folded by
+/// [`InterleavedRows::fold_thresholds`] into the fused kernel's layout:
+/// one `i64` threshold per padded row with the word slack added, and one
+/// negate byte per 8-row block, so a block's eight rows are compared and
+/// corrected in one vector instruction each.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RowThresholds {
+    min_counts: Vec<i64>,
+    negate: Vec<u8>,
+    slack: usize,
 }
 
 impl fmt::Debug for InterleavedRows {
@@ -792,7 +889,10 @@ mod tests {
                 let iw = InterleavedRows::from_matrix(&m);
                 assert_eq!(iw.rows(), rows);
                 assert_eq!(iw.len(), cols);
-                assert!(iw.padded_rows() >= rows && iw.padded_rows() % 4 == 0);
+                assert!(
+                    iw.padded_rows() >= rows
+                        && iw.padded_rows().is_multiple_of(popcount::ROW_LANES)
+                );
 
                 let xs: Vec<f32> = (0..cols)
                     .map(|_| if rng.gen::<bool>() { 1.0 } else { -1.0 })
@@ -808,6 +908,76 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn interleaved_threshold_pack_matches_count_and_fire() {
+        let mut rng = StdRng::seed_from_u64(37);
+        let pm1 = |rng: &mut StdRng, n: usize| -> Vec<f32> {
+            (0..n)
+                .map(|_| if rng.gen::<bool>() { 1.0 } else { -1.0 })
+                .collect()
+        };
+        for cols in [1usize, 63, 64, 65, 127, 128, 408] {
+            let w = cols as i64;
+            let edges = [i64::MIN, 0, w, w + 1, i64::MAX];
+            for rows in [1usize, 2, 7, 8, 9, 75, 80] {
+                let m = BitMatrix::from_signs(&pm1(&mut rng, rows * cols), rows, cols);
+                let iw = InterleavedRows::from_matrix(&m);
+                let dst_words = rows.div_ceil(WORD_BITS);
+                for rotation in 0..12 {
+                    // Every edge threshold (and a random one) with negate
+                    // on and off, rotated across the rows.
+                    let rules: Vec<(i64, bool)> = (0..rows)
+                        .map(|r| {
+                            let k = r + rotation;
+                            let min = edges
+                                .get(k % 6)
+                                .copied()
+                                .unwrap_or_else(|| rng.gen_range(0..=w));
+                            (min, (k / 6) % 2 == 1)
+                        })
+                        .collect();
+                    let folded = iw.fold_thresholds(rules.iter().copied());
+                    for n in 1..=9usize {
+                        let xs: Vec<BitVec> = (0..n)
+                            .map(|_| BitVec::from_signs(&pm1(&mut rng, cols)))
+                            .collect();
+                        let words: Vec<u64> = xs
+                            .iter()
+                            .flat_map(|x| x.as_words().iter().copied())
+                            .collect();
+                        // Dirty destination: every word must be overwritten
+                        // and bits past `rows` must come out zero.
+                        let mut dst = vec![u64::MAX; n * dst_words];
+                        iw.threshold_pack_into(&folded, &words, &mut dst);
+                        for (i, x) in xs.iter().enumerate() {
+                            let want: BitVec = (0..rows)
+                                .map(|r| {
+                                    let (min, neg) = rules[r];
+                                    let count = xnor_popcount(m.row_words(r), x.as_words(), cols);
+                                    (count as i64 >= min) ^ neg
+                                })
+                                .collect();
+                            assert_eq!(
+                                &dst[i * dst_words..(i + 1) * dst_words],
+                                want.as_words(),
+                                "sample {i} of {n}, {rows}×{cols}, rotation {rotation}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "folded for a different matrix")]
+    fn thresholds_from_another_shape_are_refused() {
+        let a = InterleavedRows::from_matrix(&BitMatrix::zeros(8, 64));
+        let b = InterleavedRows::from_matrix(&BitMatrix::zeros(8, 63));
+        let folded = b.fold_thresholds((0..8).map(|_| (0, false)));
+        a.threshold_pack_into(&folded, &[0], &mut [0]);
     }
 
     #[test]

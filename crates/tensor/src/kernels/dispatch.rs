@@ -28,7 +28,8 @@ pub struct CpuFeatures {
     pub avx2: bool,
     /// Fused multiply-add (`vfmadd231ps` GEMM micro-kernel).
     pub fma: bool,
-    /// AVX-512 foundation (512-bit registers and masks).
+    /// AVX-512 foundation (512-bit registers and masks; mask-register
+    /// sign-packing).
     pub avx512f: bool,
     /// Hardware 64-bit lane popcount (`vpopcntq`).
     pub avx512_vpopcntdq: bool,
@@ -166,6 +167,8 @@ pub enum PackKernel {
     Scalar,
     /// AVX `vcmpps`/`vmovmskps`, 8 sign bits per instruction pair.
     Avx,
+    /// AVX-512 `vcmpps` into a mask register, 16 sign bits per compare.
+    Avx512,
 }
 
 /// Which implementation backs the f32 GEMM micro-kernel.
@@ -200,7 +203,10 @@ pub fn pack_kernel() -> PackKernel {
     if forced_scalar() {
         return PackKernel::Scalar;
     }
-    if host_features().avx {
+    let f = host_features();
+    if f.avx512f {
+        PackKernel::Avx512
+    } else if f.avx {
         PackKernel::Avx
     } else {
         PackKernel::Scalar
@@ -258,6 +264,7 @@ pub fn dispatch_report() -> DispatchReport {
         pack: match pack_kernel() {
             PackKernel::Scalar => "scalar",
             PackKernel::Avx => "avx-movemask",
+            PackKernel::Avx512 => "avx512-cmp-mask",
         },
         gemm: match gemm_kernel() {
             GemmKernel::Scalar => "scalar-fma",
@@ -281,7 +288,7 @@ mod tests {
         assert!(report.features_csv().contains("sse2"));
         // Kernel names are always drawn from the documented set.
         assert!(["scalar", "avx2-harley-seal", "avx512-vpopcntdq"].contains(&report.popcount));
-        assert!(["scalar", "avx-movemask"].contains(&report.pack));
+        assert!(["scalar", "avx-movemask", "avx512-cmp-mask"].contains(&report.pack));
         assert!(["scalar-fma", "avx2-fma"].contains(&report.gemm));
     }
 

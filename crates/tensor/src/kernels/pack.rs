@@ -6,10 +6,10 @@
 //! treats them as equal) and NaN binarizes to `-1` (every ordered
 //! comparison with NaN is false). `BitVec::from_signs`,
 //! `BitMatrix::from_signs`, `Tensor::signum_binary` and
-//! `signum_binary_into` all route through this predicate, and the AVX
-//! packer reproduces it exactly (`_CMP_GE_OQ` is ordered-quiet: false on
-//! NaN, true on `-0.0 >= +0.0`) — so packed words are bitwise identical
-//! across kernels and hosts regardless of input cleanliness.
+//! `signum_binary_into` all route through this predicate, and the AVX and
+//! AVX-512 packers reproduce it exactly (`_CMP_GE_OQ` is ordered-quiet:
+//! false on NaN, true on `-0.0 >= +0.0`) — so packed words are bitwise
+//! identical across kernels and hosts regardless of input cleanliness.
 
 use super::dispatch::{pack_kernel, PackKernel};
 
@@ -40,6 +40,10 @@ pub(crate) fn pack_signs(values: &[f32], words: &mut [u64]) {
         // confirmed the host executes AVX instructions.
         #[cfg(target_arch = "x86_64")]
         PackKernel::Avx => unsafe { pack_signs_avx(values, words) },
+        // SAFETY: `PackKernel::Avx512` is only selected after runtime
+        // detection of `avx512f`; the size check above bounds every word.
+        #[cfg(target_arch = "x86_64")]
+        PackKernel::Avx512 => unsafe { pack_signs_avx512(values, words) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => pack_signs_scalar(values, words),
     }
@@ -86,12 +90,63 @@ unsafe fn pack_signs_avx(values: &[f32], words: &mut [u64]) {
         }
         *word = acc;
     }
-    // Partial final word: scalar oracle on the remaining < 64 floats.
+    // Partial final word: `vcmpps` on its whole 8-float groups, the scalar
+    // oracle on the remaining < 8 floats.
+    if let Some(word) = tail.first_mut() {
+        let (_, rest) = values.split_at(full * WORD_BITS);
+        let groups = rest.len() / 8;
+        let mut acc = 0u64;
+        for g in 0..groups {
+            let v = _mm256_loadu_ps(rest.as_ptr().add(g * 8));
+            let m = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GE_OQ>(v, zero)) as u32 as u64;
+            acc |= m << (g * 8);
+        }
+        let (_, last) = rest.split_at(groups * 8);
+        for (i, &v) in last.iter().enumerate() {
+            acc |= (sign_bit(v) as u64) << (groups * 8 + i);
+        }
+        *word = acc;
+    }
+}
+
+/// AVX-512 packer: one `vcmpps` into a mask register per 16 floats, four
+/// per packed word. The partial final word uses masked loads; lanes past
+/// the end load as `0.0`, which compares true, so each compare is ANDed
+/// with its load mask to keep tail bits zero.
+///
+/// # Safety
+///
+/// Caller must ensure the host supports AVX-512F, and `words` must hold
+/// `values.len().div_ceil(64)` words (checked by the dispatch wrapper).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn pack_signs_avx512(values: &[f32], words: &mut [u64]) {
+    use std::arch::x86_64::*;
+
+    const LANES: usize = 16;
+    let zero = _mm512_setzero_ps();
+    let full = values.len() / WORD_BITS;
+    let vp = values.as_ptr();
+    // `_CMP_GE_OQ` matches `sign_bit` exactly: NaN compares false,
+    // -0.0 >= +0.0 compares true.
+    let signs = |v: __m512| u64::from(_mm512_cmp_ps_mask::<_CMP_GE_OQ>(v, zero));
+    let (head, tail) = words.split_at_mut(full.min(words.len()));
+    for (w, word) in head.iter_mut().enumerate() {
+        let base = vp.add(w * WORD_BITS);
+        let mut acc = 0u64;
+        for g in 0..WORD_BITS / LANES {
+            acc |= signs(_mm512_loadu_ps(base.add(g * LANES))) << (g * LANES);
+        }
+        *word = acc;
+    }
+    // Partial final word: masked loads neither read nor fault past the end.
     if let Some(word) = tail.first_mut() {
         let (_, rest) = values.split_at(full * WORD_BITS);
         let mut acc = 0u64;
-        for (i, &v) in rest.iter().enumerate() {
-            acc |= (sign_bit(v) as u64) << i;
+        for (g, group) in rest.chunks(LANES).enumerate() {
+            let load: __mmask16 = (1u32 << group.len()).wrapping_sub(1) as __mmask16;
+            let v = _mm512_maskz_loadu_ps(load, group.as_ptr());
+            acc |= (signs(v) & u64::from(load)) << (g * LANES);
         }
         *word = acc;
     }
@@ -125,17 +180,27 @@ mod tests {
     #[test]
     fn avx_pack_matches_scalar_bitwise() {
         let mut seed = 0x13198a2e_03707344u64;
-        for len in [0usize, 1, 7, 8, 63, 64, 65, 127, 128, 200, 8191] {
+        for len in [
+            0usize, 1, 7, 8, 15, 16, 17, 63, 64, 65, 127, 128, 200, 408, 8191,
+        ] {
             let values = adversarial_values(len, &mut seed);
             let nw = len.div_ceil(WORD_BITS);
             let mut scalar_words = vec![0u64; nw];
             pack_signs_scalar(&values, &mut scalar_words);
             #[cfg(target_arch = "x86_64")]
-            if is_x86_feature_detected!("avx") {
-                let mut simd_words = vec![u64::MAX; nw];
-                // SAFETY: avx detected on this host.
-                unsafe { pack_signs_avx(&values, &mut simd_words) };
-                assert_eq!(simd_words, scalar_words, "avx mismatch at {len} floats");
+            {
+                if is_x86_feature_detected!("avx") {
+                    let mut simd_words = vec![u64::MAX; nw];
+                    // SAFETY: avx detected on this host.
+                    unsafe { pack_signs_avx(&values, &mut simd_words) };
+                    assert_eq!(simd_words, scalar_words, "avx mismatch at {len} floats");
+                }
+                if is_x86_feature_detected!("avx512f") {
+                    let mut simd_words = vec![u64::MAX; nw];
+                    // SAFETY: avx512f detected on this host.
+                    unsafe { pack_signs_avx512(&values, &mut simd_words) };
+                    assert_eq!(simd_words, scalar_words, "avx512 mismatch at {len} floats");
+                }
             }
             let mut dispatched = vec![u64::MAX; nw];
             pack_signs(&values, &mut dispatched);

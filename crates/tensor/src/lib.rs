@@ -40,7 +40,7 @@ mod scratch;
 mod shape;
 mod tensor;
 
-pub use bits::{pack_signs_into, xnor_popcount, BitMatrix, BitVec, InterleavedRows};
+pub use bits::{pack_signs_into, xnor_popcount, BitMatrix, BitVec, InterleavedRows, RowThresholds};
 pub use im2col::{
     im2col1d, im2col1d_backward, im2col1d_batch, im2col1d_batch_backward, im2col2d,
     im2col2d_backward, im2col2d_batch, im2col2d_batch_backward, Conv1dGeom, Conv2dGeom,
