@@ -1,32 +1,31 @@
-//! Load generator for the `rbnn-serve` runtime.
+//! Gate runner for the `rbnn-serve` runtime.
 //!
-//! Drives a pool of engine replicas with pipelined concurrent clients and
-//! reports throughput plus latency percentiles. "Batch size N" means the
-//! system processes N samples per dispatch end to end: clients submit
-//! N-sample window requests ([`rbnn_serve::TaskClient::enqueue_shared`]) and each
-//! worker dispatch evaluates one window through the batched kernels —
-//! batch size 1 is therefore exactly the single-sample serving the
-//! workspace had before this subsystem. A separate row shows the
-//! server-side merge path (single-sample requests coalesced by the
-//! adaptive batcher) for clients that cannot batch.
+//! Drives a 4-engine pool on the deployed ECG classifier (408 → 75 → 2,
+//! exactly what `examples/serving.rs` exports) with 16 pipelined clients
+//! submitting 64-sample windows ([`rbnn_serve::TaskClient::enqueue_shared`];
+//! each worker dispatch evaluates one window through the batched kernels)
+//! and judges two gates:
 //!
-//! Acceptance experiments:
+//! * RRAM floor — margin-gated sensing must hold the deployed classifier
+//!   at ≥2100 samples/s — 50× the ~42 samples/s the ungated Monte-Carlo
+//!   path managed (measured at paper scale, the only scale it could finish
+//!   at; the deployed model is ~6× smaller, so the floor is conservative)
+//!   — fresh devices, any core count;
+//! * telemetry overhead — the same software operating point with
+//!   telemetry enabled must stay within 5% of it disabled.
 //!
-//! * software backend — with a 4-engine pool on the ECG classifier,
-//!   batch 64 must clear ≥4× the throughput of batch 1, p99 reported;
-//! * RRAM backend — margin-gated sensing must hold the deployed ECG
-//!   classifier at ≥2100 samples/s — 50× the ~42 samples/s the ungated
-//!   Monte-Carlo path managed (measured at paper scale, the only scale it
-//!   could finish at; the deployed model is ~6× smaller, so the floor is
-//!   conservative) — fresh devices, any core count.
+//! Throughput tables (batch 1 vs 64, server-side merge, RRAM at paper
+//! scale) belong to `perfbench --workload ecg-batch64|ecg-merge|rram-paper`.
 //!
 //! Usage: `cargo run --release --bin serve_bench [--quick|--full]
-//! [--strict] [--rram-strict]`. `--strict` exits non-zero when the ≥4×
-//! software acceptance fails — for gating on dedicated hardware;
-//! wall-clock *ratios* on shared/1-core machines vary. `--rram-strict`
-//! gates the RRAM floor, which is CPU-cheap enough to hold on shared CI
-//! runners (the margin-gated path is the regression being guarded).
+//! [--strict] [--rram-strict]`. `--strict` exits non-zero when the
+//! telemetry-overhead gate fails — a wall-clock ratio, meaningful on
+//! dedicated hardware. `--rram-strict` gates the RRAM floor, which is
+//! CPU-cheap enough to hold on shared CI runners (the margin-gated path is
+//! the regression being guarded).
 
+use std::collections::VecDeque;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -46,7 +45,6 @@ use rbnn_serve::{
 /// One measured operating point.
 #[derive(Debug, Clone, Serialize)]
 struct OperatingPoint {
-    label: String,
     backend: String,
     batch_size: usize,
     workers: usize,
@@ -66,7 +64,6 @@ struct OperatingPoint {
 struct ServeBenchResult {
     task: String,
     points: Vec<OperatingPoint>,
-    speedup_batch64_vs_1: f64,
     /// Deployed-model RRAM throughput at batch 64 (margin-gated path).
     rram_deployed_samples_per_s: f64,
     /// Throughput with telemetry globally disabled / enabled (overhead gate).
@@ -83,31 +80,25 @@ struct ServeBenchResult {
 /// only makes the floor more conservative.
 const RRAM_FLOOR_SAMPLES_PER_S: f64 = 2_100.0;
 
-/// Drives the server with `clients` pipelined clients submitting
-/// `samples_per_request`-sample windows until each has pushed
-/// `samples_per_client` samples; `max_batch` is the server-side merge
-/// ceiling in requests.
-#[allow(clippy::too_many_arguments)]
-fn drive(
-    label: &str,
-    registry: &ModelRegistry,
-    backend: Backend,
-    samples_per_request: usize,
-    max_batch: usize,
-    workers: usize,
-    clients: usize,
-    samples_per_client: usize,
-) -> OperatingPoint {
+/// Samples per window request, and so per engine dispatch.
+const BATCH: usize = 64;
+const WORKERS: usize = 4;
+const CLIENTS: usize = 16;
+
+/// Drives the server with [`CLIENTS`] pipelined clients submitting
+/// [`BATCH`]-sample windows until each has pushed `samples_per_client`
+/// samples.
+fn drive(registry: &ModelRegistry, backend: Backend, samples_per_client: usize) -> OperatingPoint {
     let config = ServeConfig {
-        workers,
+        workers: WORKERS,
         backend,
+        // One window per dispatch: no server-side merging.
         batch: BatchPolicy {
-            max_batch,
+            max_batch: 1,
             max_delay: Duration::from_micros(250),
         },
         // Smaller than the total outstanding window: the bench measures the
-        // server *at capacity*, with producers held back by backpressure —
-        // the regime where batch formation is the throughput lever.
+        // server *at capacity*, with producers held back by backpressure.
         queue_capacity: 1024,
         seed: 0xBEEF,
         engine_threads: 1,
@@ -120,12 +111,12 @@ fn drive(
     let width = registry
         .in_features(ServeTask::Ecg)
         .expect("ECG registered");
-    // Keep ~256 samples outstanding per client regardless of request size.
-    let window_requests = (256 / samples_per_request).max(1);
-    let requests_per_client = (samples_per_client / samples_per_request).max(1);
+    // Keep ~256 samples outstanding per client.
+    let window_requests = 256 / BATCH;
+    let requests_per_client = (samples_per_client / BATCH).max(1);
 
     let t0 = Instant::now();
-    let client_threads: Vec<_> = (0..clients)
+    let client_threads: Vec<_> = (0..CLIENTS)
         .map(|c| {
             let client = server
                 .handle()
@@ -136,23 +127,23 @@ fn drive(
                 // Pre-generated shared request pool: feature synthesis and
                 // request copying must not be the bottleneck being
                 // measured, so windows are submitted zero-copy.
-                let pool: Vec<std::sync::Arc<Vec<Vec<f32>>>> = (0..8)
+                let pool: Vec<Arc<Vec<Vec<f32>>>> = (0..8)
                     .map(|_| {
-                        std::sync::Arc::new(
-                            (0..samples_per_request)
+                        Arc::new(
+                            (0..BATCH)
                                 .map(|_| (0..width).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
                                 .collect(),
                         )
                     })
                     .collect();
-                let mut in_flight = std::collections::VecDeque::new();
+                let mut in_flight = VecDeque::new();
                 for i in 0..requests_per_client {
                     if in_flight.len() >= window_requests {
                         let oldest: rbnn_serve::PendingWindow =
                             in_flight.pop_front().expect("non-empty window");
                         let _ = oldest.wait().expect("served");
                     }
-                    let rows = std::sync::Arc::clone(&pool[i % pool.len()]);
+                    let rows = Arc::clone(&pool[i % pool.len()]);
                     in_flight.push_back(client.enqueue_shared(rows).expect("queued"));
                 }
                 for pending in in_flight {
@@ -168,11 +159,10 @@ fn drive(
     let snap = server.shutdown();
     let samples = snap.engines.iter().map(|e| e.samples).sum::<u64>();
     OperatingPoint {
-        label: label.to_string(),
         backend: format!("{backend:?}"),
-        batch_size: samples_per_request * max_batch,
-        workers,
-        clients,
+        batch_size: BATCH,
+        workers: WORKERS,
+        clients: CLIENTS,
         samples,
         samples_per_s: samples as f64 / elapsed.as_secs_f64(),
         mean_dispatch: snap.mean_batch,
@@ -183,195 +173,69 @@ fn drive(
     }
 }
 
-fn print_point(p: &OperatingPoint) {
-    println!(
-        "{:<26} {:>10.0} samples/s  mean dispatch {:>6.1}  p50 {:>8.0}µs  p95 {:>8.0}µs  p99 {:>8.0}µs{}",
-        p.label,
-        p.samples_per_s,
-        p.mean_dispatch,
-        p.p50_us,
-        p.p95_us,
-        p.p99_us,
-        if p.senses > 0 { format!("  senses {}", p.senses) } else { String::new() }
-    );
-}
-
 fn main() {
     let (scale, flags) = parse_scale_with(&["--strict", "--rram-strict"]);
     let strict = flags[0];
     let rram_strict = flags[1];
     banner(
-        "serve_bench — batched multi-engine serving throughput (ECG classifier)",
+        "serve_bench — RRAM serving floor + telemetry overhead (ECG classifier)",
         scale,
     );
-    let cores = host_cores();
-    println!("host parallelism: {cores} core(s)");
+    println!("host parallelism: {} core(s)", host_cores());
 
-    // Two ECG classifier scales: the shape this repo's own pipeline deploys
-    // at laptop (`Quick`) scale — flatten 408 → 75 → 2, exactly what
-    // `examples/serving.rs` exports — and the paper's Table I shape
-    // (2520 → 80 → 2).
     let mut deployed = ModelRegistry::new();
     deployed.insert(
         ServeTask::Ecg,
         demo_network(&[408, 75, 2], 0xD47E),
         EngineConfig::test_chip(1),
     );
-    let mut paper = ModelRegistry::new();
-    paper.insert(
-        ServeTask::Ecg,
-        demo_network(&[2520, 80, 2], 0xD47E),
-        EngineConfig::test_chip(2),
-    );
-
-    let workers = 4;
-    let clients = 16;
-    // Margin-gated sensing lets the RRAM rows run real sample counts
-    // (the ungated sampler managed ~42 samples/s and was capped at 64
-    // samples per client to finish at all).
-    let (samples_per_client, rram_samples) = match scale {
+    // Samples per client. No warm-up rows precede the overhead probe, so
+    // each of its runs is long enough (~0.2 s quick) to settle.
+    let (software_samples, rram_samples) = match scale {
         RunScale::Quick => (60_000usize, 2_000usize),
         RunScale::Full => (300_000, 10_000),
     };
 
-    let mut points = Vec::new();
     println!(
-        "\ndeployed ECG classifier 408→75→2 (software backend, {workers}-engine pool, \
-         {clients} pipelined clients):"
+        "\ndeployed ECG classifier 408→75→2, batch {BATCH}, {WORKERS}-engine pool, \
+         {CLIENTS} pipelined clients:"
     );
-    for batch in [1usize, 8, 64, 256] {
-        let p = drive(
-            &format!("batch {batch}"),
-            &deployed,
-            Backend::Software,
-            batch,
-            1,
-            workers,
-            clients,
-            samples_per_client,
-        );
-        print_point(&p);
-        points.push(p);
-    }
-    // Server-side merge: clients that cannot batch still get engine
-    // batches through the adaptive batcher.
-    let merge = drive(
-        "server merge ≤64",
-        &deployed,
-        Backend::Software,
-        1,
-        64,
-        workers,
-        clients,
-        samples_per_client,
+    let rram = drive(&deployed, Backend::Rram, rram_samples);
+    println!(
+        "rram deployed batch 64 {:>10.0} samples/s  mean dispatch {:>6.1}  p50 {:>8.0}µs  \
+         p95 {:>8.0}µs  p99 {:>8.0}µs  senses {}",
+        rram.samples_per_s, rram.mean_dispatch, rram.p50_us, rram.p95_us, rram.p99_us, rram.senses
     );
-    print_point(&merge);
-
-    let t1 = points[0].samples_per_s;
-    let t64 = points[2].samples_per_s;
-    let speedup = t64 / t1;
-    println!("\nspeedup batch 64 vs batch 1: {speedup:.1}×");
-    let accepted = speedup >= 4.0;
-    if accepted {
-        println!("acceptance: PASS (≥4× with a {workers}-engine pool)");
-    } else {
-        println!("acceptance: FAIL (<4×)");
-    }
-    points.push(merge);
-
-    println!("\npaper-scale ECG classifier 2520→80→2 (software backend):");
-    for batch in [1usize, 64] {
-        let p = drive(
-            &format!("paper batch {batch}"),
-            &paper,
-            Backend::Software,
-            batch,
-            1,
-            workers,
-            clients,
-            samples_per_client / 4,
-        );
-        print_point(&p);
-        points.push(p);
-    }
-
-    println!("\nrram backend, deployed model (margin-gated PCSA senses; {workers}-engine pool):");
-    let mut rram_deployed_64 = 0.0f64;
-    for batch in [1usize, 64] {
-        let p = drive(
-            &format!("rram deployed batch {batch}"),
-            &deployed,
-            Backend::Rram,
-            batch,
-            1,
-            workers,
-            clients,
-            rram_samples,
-        );
-        print_point(&p);
-        if batch == 64 {
-            rram_deployed_64 = p.samples_per_s;
-        }
-        points.push(p);
-    }
-    let rram_accepted = rram_deployed_64 >= RRAM_FLOOR_SAMPLES_PER_S;
+    let rram_accepted = rram.samples_per_s >= RRAM_FLOOR_SAMPLES_PER_S;
     println!(
         "rram acceptance (deployed, batch 64): {} ({:.0} samples/s vs \
          {RRAM_FLOOR_SAMPLES_PER_S:.0} floor = 50× the ungated sampler)",
         if rram_accepted { "PASS" } else { "FAIL" },
-        rram_deployed_64
+        rram.samples_per_s
     );
 
-    println!("\nrram backend, paper scale (margin-gated PCSA senses; {workers}-engine pool):");
-    for batch in [1usize, 64] {
-        let p = drive(
-            &format!("rram paper batch {batch}"),
-            &paper,
-            Backend::Rram,
-            batch,
-            1,
-            workers,
-            clients,
-            rram_samples,
-        );
-        print_point(&p);
-        points.push(p);
-    }
-
-    // Telemetry overhead gate: the same batch-64 operating point with the
-    // global telemetry switch off, then on. Enabled must stay within 5%.
-    println!();
+    // Telemetry overhead gate: the software batch-64 operating point with
+    // the global telemetry switch off, then on. Enabled must stay within 5%.
     let (overhead_disabled, overhead_enabled) = telemetry_overhead_pair(|| {
-        drive(
-            "overhead probe",
-            &deployed,
-            Backend::Software,
-            64,
-            1,
-            workers,
-            clients,
-            samples_per_client / 4,
-        )
-        .samples_per_s
+        drive(&deployed, Backend::Software, software_samples).samples_per_s
     });
     let overhead_ok = report_overhead_gate("batch 64", overhead_disabled, overhead_enabled, 0.05);
 
     emit_bench_with_dispatch(
         "serve_bench",
         scale,
-        Some(accepted && rram_accepted && overhead_ok),
+        Some(rram_accepted && overhead_ok),
         &ServeBenchResult {
             task: "ecg".into(),
-            points,
-            speedup_batch64_vs_1: speedup,
-            rram_deployed_samples_per_s: rram_deployed_64,
+            rram_deployed_samples_per_s: rram.samples_per_s,
+            points: vec![rram],
             telemetry_disabled_samples_per_s: overhead_disabled,
             telemetry_enabled_samples_per_s: overhead_enabled,
             telemetry_overhead_ok: overhead_ok,
         },
     );
 
-    if (strict && !(accepted && overhead_ok)) || (rram_strict && !rram_accepted) {
+    if (strict && !overhead_ok) || (rram_strict && !rram_accepted) {
         std::process::exit(1);
     }
 }

@@ -150,8 +150,8 @@ impl<'a> Labelled<'a> {
 /// Gathers `indices` of the leading axis into a new batch tensor.
 ///
 /// Allocation-free loops use [`Tensor::gather_rows_into`] with a reused
-/// buffer instead; this remains as the simple one-shot form (and as the
-/// pre-overhaul baseline `train_bench` measures against).
+/// buffer instead; this remains as the simple one-shot form (used by
+/// `rram_bnn::deploy::classifier_features`).
 pub fn gather(x: &Tensor, indices: &[usize]) -> Tensor {
     let items: Vec<Tensor> = indices.iter().map(|&i| x.index_axis0(i)).collect();
     Tensor::stack(&items)

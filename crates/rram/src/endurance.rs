@@ -207,6 +207,32 @@ mod tests {
     }
 
     #[test]
+    fn pcsa_offset_degrades_2t2r_but_stays_below_1t1r() {
+        // The differential read cancels device variation but not the sense
+        // amplifier's own input offset (Hirtzlin et al., arXiv:1908.04066):
+        // a worse PCSA raises the 2T2R error rate, yet even a poor one
+        // keeps it below the single-ended 1T1R read at the same wear.
+        let (dp, pp) = default_models();
+        let mut prev = 0.0;
+        for offset_sigma in [0.05, 0.27, 0.5] {
+            let pcsa = PcsaParams { offset_sigma, ..pp };
+            let p = analytic_point(&dp, &pcsa, 400_000_000, 1.15);
+            assert!(
+                p.ber_2t2r > prev,
+                "2T2R BER {:.2e} at offset σ={offset_sigma} not above {prev:.2e}",
+                p.ber_2t2r
+            );
+            assert!(
+                p.ber_2t2r < p.ber_1t1r_bl,
+                "offset σ={offset_sigma}: 2T2R {:.2e} not below 1T1R {:.2e}",
+                p.ber_2t2r,
+                p.ber_1t1r_bl
+            );
+            prev = p.ber_2t2r;
+        }
+    }
+
+    #[test]
     fn analytic_fig4_anchor_points() {
         // Calibration targets: 1T1R ≈ 1e-4 at 1e8 cycles, ≈ 1e-2 at 7e8.
         let (dp, pp) = default_models();
