@@ -38,7 +38,9 @@ pub enum Deny {
     /// Index expressions `x[i]` (slicing included — both can panic).
     Indexing,
     /// Heap allocation in a zero-alloc hot path (`Vec::new`, `vec![…]`,
-    /// `.to_vec()`, `.clone()`, `.collect()`, `format!`, `Box::new`, …).
+    /// `.to_vec()`, `.clone()`, `.collect()`, `format!`, `Box::new`,
+    /// `Arc::new`, `Rc::new`, `BTreeMap`/`HashMap`/`VecDeque`
+    /// construction, …).
     Alloc,
     /// Blocking `.lock()` — the zone must stay `try_lock`-only.
     BlockingLock,

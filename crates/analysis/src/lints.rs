@@ -333,18 +333,58 @@ fn deny_hit(lexed: &LexedFile, i: usize, deny: Deny) -> Option<String> {
 /// Allocation-shaped token patterns for RA0005.
 fn alloc_hit(lexed: &LexedFile, i: usize) -> Option<String> {
     let id = ident(lexed, i)?;
+    let hit = |ctors: &[&str]| {
+        let ctor = assoc_fn(lexed, i)?;
+        ctors
+            .contains(&ctor)
+            .then(|| format!("`{id}::{ctor}` allocates"))
+    };
     match id {
         "vec" | "format" if punct(lexed, i + 1, '!') => Some(format!("`{id}!` allocates")),
-        "Vec" | "String" | "Box" if punct(lexed, i + 1, ':') && punct(lexed, i + 2, ':') => {
-            let ctor = ident(lexed, i + 3)?;
-            matches!(ctor, "new" | "from" | "with_capacity")
-                .then(|| format!("`{id}::{ctor}` allocates"))
+        "Vec" | "String" | "Box" => hit(&["new", "from", "with_capacity"]),
+        "Arc" | "Rc" => hit(&["new", "from", "new_cyclic", "pin"]),
+        // Collections that allocate on construction or on first insert:
+        // building one per call is the allocation, whichever constructor.
+        "BTreeMap" | "BTreeSet" | "HashMap" | "HashSet" | "VecDeque" | "BinaryHeap" => {
+            hit(&["new", "from", "with_capacity", "default", "from_iter"])
         }
         "to_vec" | "to_string" | "to_owned" | "clone" | "collect" if i > 0 => {
             punct(lexed, i - 1, '.').then(|| format!("`.{id}()` allocates"))
         }
         _ => None,
     }
+}
+
+/// The associated function named by the path `Type::f` or `Type::<…>::f`
+/// whose type name is token `i`.
+fn assoc_fn(lexed: &LexedFile, i: usize) -> Option<&str> {
+    let path_sep = |j: usize| punct(lexed, j, ':') && punct(lexed, j + 1, ':');
+    if !path_sep(i + 1) {
+        return None;
+    }
+    let mut j = i + 3;
+    if punct(lexed, j, '<') {
+        // Skip the turbofish's generic arguments, nested brackets included.
+        let mut depth = 0usize;
+        loop {
+            if punct(lexed, j, '<') {
+                depth += 1;
+            } else if punct(lexed, j, '>') {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            } else if j >= lexed.tokens.len() {
+                return None;
+            }
+            j += 1;
+        }
+        if !path_sep(j + 1) {
+            return None;
+        }
+        j += 3;
+    }
+    ident(lexed, j)
 }
 
 fn zone_violation(rel: &str, line: usize, zone: &Zone, deny: Deny, message: String) -> Violation {
@@ -594,6 +634,45 @@ mod tests {
         assert_eq!(vs.iter().filter(|v| v.lint == Lint::HotAlloc).count(), 1);
         assert_eq!(vs.iter().filter(|v| v.lint == Lint::PanicPath).count(), 2);
         assert!(vs.iter().all(|v| v.line == 1));
+    }
+
+    #[test]
+    fn alloc_zone_flags_shared_pointers_and_collections() {
+        let mut cfg = Config::default();
+        cfg.zones.push(crate::config::Zone {
+            path: "crates/x/src/lib.rs".to_string(),
+            functions: vec!["hot".to_string()],
+            deny: vec![Deny::Alloc],
+            reason: "hot loop".to_string(),
+        });
+        let flagged = [
+            "let a = Arc::new(1);",
+            "let a = std::sync::Arc::from(v);",
+            "let r = Rc::new(1);",
+            "let m: BTreeMap<u8, u8> = BTreeMap::new();",
+            "let m = HashMap::with_capacity(4);",
+            "let s = HashSet::default();",
+            "let q = VecDeque::from(v);",
+            "let q = std::collections::VecDeque::with_capacity(8);",
+            "let m = HashMap::<u8, Vec<u8>>::new();",
+            "let v = Vec::<u8>::with_capacity(8);",
+        ];
+        for body in flagged {
+            let src = format!("fn hot(v: Vec<u8>) {{ {body} }}");
+            let vs = check_source("crates/x/src/lib.rs", FileClass::Lib, &src, &cfg);
+            assert_eq!(
+                vs.iter().filter(|v| v.lint == Lint::HotAlloc).count(),
+                1,
+                "{body}"
+            );
+        }
+        // Sharing an existing pointer, naming a type and lookups do not
+        // allocate.
+        let clean = "fn hot(a: &Arc<u8>, m: &BTreeMap<u8, u8>, q: &mut VecDeque<u8>) { \
+                     let b = Arc::clone(a); let n = Arc::strong_count(&b); \
+                     let x = m.get(&1); q.pop_front(); }";
+        let vs = check_source("crates/x/src/lib.rs", FileClass::Lib, clean, &cfg);
+        assert!(vs.is_empty(), "{vs:?}");
     }
 
     #[test]

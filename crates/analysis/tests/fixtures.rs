@@ -80,6 +80,21 @@ fn bad_corpus_findings_are_precisely_located() {
         "{}",
         report.render_text()
     );
+    // Shared-pointer and collection construction: `Arc::new`,
+    // `BTreeMap::new`, `VecDeque::with_capacity`, `Rc::new` + `HashMap::new`.
+    for line in [17, 18, 19] {
+        assert!(
+            has("bad/hot_alloc.rs", line, "RA0005"),
+            "line {line}:\n{}",
+            report.render_text()
+        );
+    }
+    let rc_and_map = report
+        .violations
+        .iter()
+        .filter(|v| v.path == "bad/hot_alloc.rs" && v.line == 20 && v.lint.id() == "RA0005")
+        .count();
+    assert_eq!(rc_and_map, 2, "{}", report.render_text());
     assert!(
         has("bad/lock_discipline.rs", 13, "RA0006"),
         "{}",

@@ -64,8 +64,13 @@ impl Batcher {
         self.policy.max_delay.mul_f64(self.fill.clamp(0.0, 1.0))
     }
 
-    /// Blocks for the next batch. Returns `None` when the queue is closed
-    /// and fully drained.
+    /// Blocks for the next batch and appends it to `batch`. Returns `false`
+    /// when the queue is closed and fully drained.
+    ///
+    /// The caller owns the batch buffer and reuses it across batches (the
+    /// serve worker clears one per-worker `Vec` after each batch), so
+    /// forming a batch allocates nothing once the buffer has reached
+    /// `max_batch` capacity.
     ///
     /// The linger runs in short sub-polls rather than one sleep to the
     /// full deadline: a straggler request arriving right after a sustained
@@ -76,91 +81,98 @@ impl Batcher {
     /// arrived; single arrivals do not wake it. When two consecutive
     /// sub-polls time out with the queue still empty, the batch dispatches
     /// early — an idle tail, not a forming batch.
-    pub fn next_batch<T>(&mut self, queue: &BoundedQueue<T>) -> Option<Vec<T>> {
-        self.next_batch_with(queue, |_| {})
+    pub fn next_batch<T>(&mut self, queue: &BoundedQueue<T>, batch: &mut Vec<T>) -> bool {
+        let start = batch.len();
+        if !queue.pop_up_to(self.policy.max_batch, batch) {
+            return false;
+        }
+        self.linger_and_record(queue, batch, start, |_| {});
+        true
     }
 
-    /// [`next_batch`](Self::next_batch) with a dequeue observer: `on_pop`
-    /// runs on each newly popped chunk *at the moment it leaves the
-    /// queue*, before any further lingering. The serving layer uses it to
-    /// timestamp requests at dequeue, separating queue wait from the
+    /// [`next_batch`](Self::next_batch) whose *initial* wait is bounded by
+    /// `initial_wait`, with a dequeue observer. When nothing arrives
+    /// inside the window the call appends nothing and returns `true`
+    /// instead of blocking indefinitely. The worker loop uses this as its
+    /// idle tick — it must come back around periodically to heartbeat the
+    /// supervisor and respawn due replicas even when no traffic is
+    /// flowing. An empty tick skips the linger and leaves the fill EWMA
+    /// untouched (an idle tick is not a formed batch and must not drag the
+    /// adaptive linger toward zero).
+    ///
+    /// `on_pop` runs on each newly popped chunk *at the moment it leaves
+    /// the queue*, before any further lingering. The serving layer uses it
+    /// to timestamp requests at dequeue, separating queue wait from the
     /// batcher's linger in span traces (stamping after the full batch
     /// formed would fold the whole linger into queue wait; a straggler
     /// that sits queued until a sub-poll collects it counts that time as
     /// queue wait).
-    pub fn next_batch_with<T>(
-        &mut self,
-        queue: &BoundedQueue<T>,
-        mut on_pop: impl FnMut(&mut [T]),
-    ) -> Option<Vec<T>> {
-        let mut batch = queue.pop_up_to(self.policy.max_batch)?;
-        on_pop(&mut batch);
-        Some(self.linger_and_record(queue, batch, on_pop))
-    }
-
-    /// [`next_batch_with`](Self::next_batch_with) whose *initial* wait is
-    /// bounded by `initial_wait`: when nothing arrives inside the window
-    /// the call returns an **empty** batch instead of blocking
-    /// indefinitely. The worker loop uses this as its idle tick — it must
-    /// come back around periodically to heartbeat the supervisor and
-    /// respawn due replicas even when no traffic is flowing. An empty
-    /// return skips the linger and leaves the fill EWMA untouched (an
-    /// idle tick is not a formed batch and must not drag the adaptive
-    /// linger toward zero).
     pub fn next_batch_within<T>(
         &mut self,
         queue: &BoundedQueue<T>,
         initial_wait: Duration,
-        mut on_pop: impl FnMut(&mut [T]),
-    ) -> Option<Vec<T>> {
+        batch: &mut Vec<T>,
+        on_pop: impl FnMut(&mut [T]),
+    ) -> bool {
+        let start = batch.len();
         let deadline = Instant::now() + initial_wait;
-        let mut batch = queue.pop_up_to_deadline(self.policy.max_batch, deadline)?;
-        if batch.is_empty() {
-            return Some(batch);
+        if !queue.pop_up_to_deadline(self.policy.max_batch, deadline, batch) {
+            return false;
         }
-        on_pop(&mut batch);
-        Some(self.linger_and_record(queue, batch, on_pop))
+        if batch.len() > start {
+            self.linger_and_record(queue, batch, start, on_pop);
+        }
+        true
     }
 
-    /// Shared tail of the batch-formation paths: linger for stragglers on
-    /// a partial batch, then fold the final fill ratio into the EWMA.
+    /// Shared tail of the batch-formation paths: observe the first chunk
+    /// (`batch[start..]`), linger for stragglers on a partial batch, then
+    /// fold the final fill ratio into the EWMA.
     fn linger_and_record<T>(
         &mut self,
         queue: &BoundedQueue<T>,
-        mut batch: Vec<T>,
+        batch: &mut Vec<T>,
+        start: usize,
         mut on_pop: impl FnMut(&mut [T]),
-    ) -> Vec<T> {
-        if batch.len() < self.policy.max_batch {
+    ) {
+        if let Some(chunk) = batch.get_mut(start..) {
+            on_pop(chunk);
+        }
+        let max = self.policy.max_batch;
+        let formed = |batch: &Vec<T>| batch.len().saturating_sub(start);
+        if formed(batch) < max {
             let linger = self.current_linger();
             if !linger.is_zero() {
                 let deadline = Instant::now() + linger;
                 let slice = linger / 8;
                 let mut empty_polls = 0u32;
-                while batch.len() < self.policy.max_batch && empty_polls < 2 {
+                while formed(batch) < max && empty_polls < 2 {
                     let now = Instant::now();
                     if now >= deadline {
                         break;
                     }
                     let sub_deadline = (now + slice).min(deadline);
+                    let before = batch.len();
                     // Sleeps until the batch could fill, not on every
                     // arrival: a partial top-up lands at the sub-deadline.
-                    match queue.pop_linger(self.policy.max_batch - batch.len(), sub_deadline) {
+                    if !queue.pop_linger(max - formed(batch), sub_deadline, batch) {
                         // Queue closed: dispatch what we have.
-                        None => break,
+                        break;
+                    }
+                    if batch.len() == before {
                         // Sub-poll timed out with nothing queued.
-                        Some(more) if more.is_empty() => empty_polls += 1,
-                        Some(mut more) => {
-                            on_pop(&mut more);
-                            batch.extend(more);
-                            empty_polls = 0;
+                        empty_polls += 1;
+                    } else {
+                        if let Some(chunk) = batch.get_mut(before..) {
+                            on_pop(chunk);
                         }
+                        empty_polls = 0;
                     }
                 }
             }
         }
-        let ratio = batch.len() as f64 / self.policy.max_batch as f64;
+        let ratio = formed(batch) as f64 / max as f64;
         self.fill = 0.8 * self.fill + 0.2 * ratio;
-        batch
     }
 }
 
@@ -169,6 +181,61 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use std::thread;
+
+    /// The batch forms into a fresh vector: `None` once closed and drained.
+    impl Batcher {
+        fn next_vec<T>(&mut self, q: &BoundedQueue<T>) -> Option<Vec<T>> {
+            let mut batch = Vec::new();
+            self.next_batch(q, &mut batch).then_some(batch)
+        }
+
+        fn within_vec<T>(&mut self, q: &BoundedQueue<T>, wait: Duration) -> Option<Vec<T>> {
+            let mut batch = Vec::new();
+            self.next_batch_within(q, wait, &mut batch, |_| {})
+                .then_some(batch)
+        }
+    }
+
+    #[test]
+    fn reused_buffer_forms_every_batch_and_observes_each_request_once() {
+        let q = Arc::new(BoundedQueue::new(64));
+        let mut b = Batcher::new(BatchPolicy {
+            max_batch: 8,
+            max_delay: Duration::from_millis(200),
+        });
+        b.fill = 1.0;
+        let mut batch: Vec<(u32, bool)> = Vec::with_capacity(8);
+        let buffer = batch.as_ptr();
+        for round in 0..3u32 {
+            batch.clear();
+            // Three queued now, five more while the batcher lingers.
+            for i in 0..3 {
+                q.push((round * 8 + i, false)).unwrap();
+            }
+            let q2 = Arc::clone(&q);
+            let producer = thread::spawn(move || {
+                thread::sleep(Duration::from_millis(5));
+                for i in 3..8 {
+                    q2.push((round * 8 + i, false)).unwrap();
+                }
+            });
+            let mut observed = 0;
+            assert!(
+                b.next_batch_within(&q, Duration::from_secs(5), &mut batch, |chunk| {
+                    for (_, seen) in chunk.iter_mut() {
+                        assert!(!*seen, "a request was observed twice");
+                        *seen = true;
+                        observed += 1;
+                    }
+                })
+            );
+            producer.join().unwrap();
+            assert_eq!(observed, 8);
+            let ids: Vec<u32> = batch.iter().map(|&(id, _)| id).collect();
+            assert_eq!(ids, (round * 8..round * 8 + 8).collect::<Vec<_>>());
+            assert_eq!(batch.as_ptr(), buffer, "the batch reused the buffer");
+        }
+    }
 
     #[test]
     fn full_queue_dispatches_immediately() {
@@ -181,13 +248,13 @@ mod tests {
             max_delay: Duration::from_secs(1),
         });
         let t0 = Instant::now();
-        let batch = b.next_batch(&q).unwrap();
+        let batch = b.next_vec(&q).unwrap();
         assert_eq!(batch.len(), 64);
         assert!(
             t0.elapsed() < Duration::from_millis(100),
             "must not linger when full"
         );
-        assert_eq!(b.next_batch(&q).unwrap().len(), 36);
+        assert_eq!(b.next_vec(&q).unwrap().len(), 36);
     }
 
     #[test]
@@ -205,7 +272,7 @@ mod tests {
             max_batch: 8,
             max_delay: Duration::from_millis(200),
         });
-        let batch = b.next_batch(&q).unwrap();
+        let batch = b.next_vec(&q).unwrap();
         producer.join().unwrap();
         assert!(
             batch.len() > 1,
@@ -223,7 +290,7 @@ mod tests {
         let initial = b.current_linger();
         for _ in 0..10 {
             q.push(1u32).unwrap();
-            let _ = b.next_batch(&q).unwrap();
+            let _ = b.next_vec(&q).unwrap();
         }
         assert!(
             b.current_linger() < initial / 4,
@@ -247,7 +314,7 @@ mod tests {
             for i in 0..8 {
                 q.push(i).unwrap();
             }
-            assert_eq!(b.next_batch(&q).unwrap().len(), 8);
+            assert_eq!(b.next_vec(&q).unwrap().len(), 8);
         }
         let linger = b.current_linger();
         assert!(
@@ -257,7 +324,7 @@ mod tests {
         // The straggler: one request, then silence.
         q.push(99).unwrap();
         let t0 = Instant::now();
-        let batch = b.next_batch(&q).unwrap();
+        let batch = b.next_vec(&q).unwrap();
         let waited = t0.elapsed();
         assert_eq!(batch, vec![99]);
         // Two empty sub-polls of linger/8 each ≈ linger/4 ≪ full linger.
@@ -286,7 +353,7 @@ mod tests {
         });
         // Force a long linger despite the EWMA starting at 0.5.
         b.fill = 1.0;
-        let batch = b.next_batch(&q).unwrap();
+        let batch = b.next_vec(&q).unwrap();
         producer.join().unwrap();
         assert!(
             batch.len() >= 3,
@@ -300,9 +367,7 @@ mod tests {
         let mut b = Batcher::new(BatchPolicy::default());
         let linger_before = b.current_linger();
         let t0 = Instant::now();
-        let batch = b
-            .next_batch_within(&q, Duration::from_millis(20), |_| {})
-            .unwrap();
+        let batch = b.within_vec(&q, Duration::from_millis(20)).unwrap();
         assert!(batch.is_empty(), "idle tick returns an empty batch");
         assert!(t0.elapsed() >= Duration::from_millis(15));
         assert_eq!(
@@ -312,16 +377,11 @@ mod tests {
         );
         // With items available it forms a batch like next_batch.
         q.push(7).unwrap();
-        let batch = b
-            .next_batch_within(&q, Duration::from_millis(20), |_| {})
-            .unwrap();
+        let batch = b.within_vec(&q, Duration::from_millis(20)).unwrap();
         assert_eq!(batch, vec![7]);
         // A closed drained queue still terminates with None.
         q.close();
-        assert_eq!(
-            b.next_batch_within(&q, Duration::from_millis(5), |_| {}),
-            None
-        );
+        assert_eq!(b.within_vec(&q, Duration::from_millis(5)), None);
     }
 
     #[test]
@@ -330,7 +390,7 @@ mod tests {
         q.push(1).unwrap();
         q.close();
         let mut b = Batcher::new(BatchPolicy::default());
-        assert_eq!(b.next_batch(&q), Some(vec![1]));
-        assert_eq!(b.next_batch(&q), None);
+        assert_eq!(b.next_vec(&q), Some(vec![1]));
+        assert_eq!(b.next_vec(&q), None);
     }
 }

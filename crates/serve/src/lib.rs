@@ -16,17 +16,21 @@
 //!    the request with [`ServeError::Overloaded`] under the default
 //!    [`AdmissionPolicy::Shed`], or blocks the caller (backpressure) under
 //!    [`AdmissionPolicy::Block`];
-//! 2. a worker pulls a micro-batch through the adaptive [`Batcher`]
-//!    (dispatch immediately when the queue is deep, linger briefly for
-//!    stragglers when it is not);
-//! 3. the worker groups the batch by task and replays its cached compiled
-//!    [`rbnn_graph::ExecPlan`] — [`rbnn_graph::ExecPlan::replay_rows`] on
+//! 2. a worker pulls a micro-batch through the adaptive [`Batcher`] into
+//!    its reused request buffer (dispatch immediately when the queue is
+//!    deep, linger briefly for stragglers when it is not);
+//! 3. the worker groups the batch by task in place and replays its
+//!    cached compiled [`rbnn_graph::ExecPlan`] —
+//!    [`rbnn_graph::ExecPlan::replay_rows`] on
 //!    the software backend, [`rbnn_rram::NetworkEngine::replay_plan`] on
 //!    the margin-gated RRAM backend (deterministic senses short-circuit,
 //!    marginal cells stay Monte-Carlo) — on its own engine replica
 //!    (replicas, not shared engines: PCSA reads need `&mut self`);
-//! 4. each request's one-shot reply slot delivers a [`Prediction`] (the
-//!    worker wakes the client only if it is parked on the slot), and
+//! 4. each request's one-shot reply slot delivers its answer (the worker
+//!    wakes the client only if it is parked on the slot) together with
+//!    the request's rows, which the client frees: a single-sample answer
+//!    is written inline and turned into a [`Prediction`] on the client,
+//!    so the worker makes no allocation for it; and
 //!    [`ServerStats`] records end-to-end latency into a log-scaled
 //!    histogram (p50/p95/p99), throughput, batch fill and per-replica
 //!    array counters.

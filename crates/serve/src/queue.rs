@@ -249,17 +249,18 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Blocks until at least one item is available (or the queue closes),
-    /// then drains up to `max` items, urgent lane first. Returns `None`
-    /// only after close with an empty queue — the consumer's termination
-    /// signal.
-    pub fn pop_up_to(&self, max: usize) -> Option<Vec<T>> {
+    /// then appends up to `max` items to `out`, urgent lane first. Returns
+    /// `false` only after close with an empty queue — the consumer's
+    /// termination signal.
+    pub fn pop_up_to(&self, max: usize, out: &mut Vec<T>) -> bool {
         let mut inner = self.lock_inner();
         loop {
             if inner.len() != 0 {
-                return Some(self.drain_locked(&mut inner, max));
+                self.drain_locked(&mut inner, max, out);
+                return true;
             }
             if inner.closed {
-                return None;
+                return false;
             }
             inner.ready_waiters += 1;
             inner = self
@@ -271,19 +272,20 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Like [`pop_up_to`](Self::pop_up_to) but gives up at `deadline`,
-    /// returning an empty batch on timeout.
-    pub fn pop_up_to_deadline(&self, max: usize, deadline: Instant) -> Option<Vec<T>> {
+    /// appending nothing on timeout.
+    pub fn pop_up_to_deadline(&self, max: usize, deadline: Instant, out: &mut Vec<T>) -> bool {
         let mut inner = self.lock_inner();
         loop {
             if inner.len() != 0 {
-                return Some(self.drain_locked(&mut inner, max));
+                self.drain_locked(&mut inner, max, out);
+                return true;
             }
             if inner.closed {
-                return None;
+                return false;
             }
             let now = Instant::now();
             if now >= deadline {
-                return Some(Vec::new());
+                return true;
             }
             inner.ready_waiters += 1;
             let (guard, timeout) = self
@@ -293,18 +295,18 @@ impl<T> BoundedQueue<T> {
             inner = guard;
             inner.ready_waiters -= 1;
             if timeout.timed_out() && inner.len() == 0 {
-                return Some(Vec::new());
+                return true;
             }
         }
     }
 
     /// The batcher's linger wait: sleeps until `want` items are queued,
     /// `deadline` passes, or the queue closes — arrivals that leave fewer
-    /// than `want` queued do not wake it — then drains up to `want` items,
-    /// urgent lane first. Returns an empty batch when the deadline passes
-    /// with nothing queued, and `None` only after close with an empty
-    /// queue.
-    pub fn pop_linger(&self, want: usize, deadline: Instant) -> Option<Vec<T>> {
+    /// than `want` queued do not wake it — then appends up to `want` items
+    /// to `out`, urgent lane first. Appends nothing when the deadline
+    /// passes with nothing queued, and returns `false` only after close
+    /// with an empty queue.
+    pub fn pop_linger(&self, want: usize, deadline: Instant, out: &mut Vec<T>) -> bool {
         let want = want.max(1);
         let mut inner = self.lock_inner();
         inner.lingerers += 1;
@@ -328,22 +330,25 @@ impl<T> BoundedQueue<T> {
             inner.linger_want = usize::MAX;
         }
         if inner.closed && inner.len() == 0 {
-            return None;
+            return false;
         }
-        Some(self.drain_locked(&mut inner, want))
+        self.drain_locked(&mut inner, want, out);
+        true
     }
 
-    fn drain_locked(&self, inner: &mut Inner<T>, max: usize) -> Vec<T> {
+    /// Moves up to `max` items (at least one if any are queued) into the
+    /// caller's `out`, urgent lane first. Allocation-free under the lock
+    /// once `out` has the capacity of a full batch: consumers reuse one
+    /// buffer for every batch.
+    fn drain_locked(&self, inner: &mut Inner<T>, max: usize, out: &mut Vec<T>) {
         let take = inner.len().min(max.max(1));
         let from_urgent = inner.urgent.len().min(take);
-        let mut batch: Vec<T> = inner.urgent.drain(..from_urgent).collect();
-        let from_routine = take - from_urgent;
-        batch.extend(inner.routine.drain(..from_routine));
+        out.extend(inner.urgent.drain(..from_urgent));
+        out.extend(inner.routine.drain(..take - from_urgent));
         // Capacity freed: release every producer blocked on space.
         if take > 0 && inner.space_waiters > 0 {
             self.space.notify_all();
         }
-        batch
     }
 
     /// Closes the queue: pending items remain poppable, new pushes fail,
@@ -364,6 +369,51 @@ mod tests {
     use std::thread;
     use std::time::Duration;
 
+    /// The pops into a fresh vector: `None` once closed and drained.
+    impl<T> BoundedQueue<T> {
+        fn pop_vec(&self, max: usize) -> Option<Vec<T>> {
+            let mut out = Vec::new();
+            self.pop_up_to(max, &mut out).then_some(out)
+        }
+
+        fn pop_deadline_vec(&self, max: usize, deadline: Instant) -> Option<Vec<T>> {
+            let mut out = Vec::new();
+            self.pop_up_to_deadline(max, deadline, &mut out)
+                .then_some(out)
+        }
+
+        fn pop_linger_vec(&self, want: usize, deadline: Instant) -> Option<Vec<T>> {
+            let mut out = Vec::new();
+            self.pop_linger(want, deadline, &mut out).then_some(out)
+        }
+    }
+
+    #[test]
+    fn pops_append_to_the_callers_buffer_without_reallocating() {
+        let q = BoundedQueue::new(8);
+        let mut out = Vec::with_capacity(4);
+        let buffer = out.as_ptr();
+        for round in 0..3 {
+            out.clear();
+            for i in 0..6 {
+                q.push(round * 10 + i).unwrap();
+            }
+            q.push_lane(99, Lane::Urgent).unwrap();
+            assert!(q.pop_up_to(2, &mut out));
+            assert!(q.pop_linger(2, Instant::now(), &mut out));
+            assert_eq!(out, vec![99, round * 10, round * 10 + 1, round * 10 + 2]);
+            // The rest drains into a second round of the same buffer.
+            out.clear();
+            assert!(q.pop_up_to_deadline(4, Instant::now(), &mut out));
+            assert_eq!(out.len(), 3);
+            assert_eq!(out.as_ptr(), buffer, "the drain reused the buffer");
+        }
+        q.close();
+        out.clear();
+        assert!(!q.pop_up_to(4, &mut out), "closed and drained");
+        assert!(out.is_empty());
+    }
+
     #[test]
     fn fifo_order_and_batch_drain() {
         let q = BoundedQueue::new(8);
@@ -371,8 +421,8 @@ mod tests {
             q.push(i).unwrap();
         }
         assert_eq!(q.len(), 5);
-        assert_eq!(q.pop_up_to(3).unwrap(), vec![0, 1, 2]);
-        assert_eq!(q.pop_up_to(10).unwrap(), vec![3, 4]);
+        assert_eq!(q.pop_vec(3).unwrap(), vec![0, 1, 2]);
+        assert_eq!(q.pop_vec(10).unwrap(), vec![3, 4]);
     }
 
     #[test]
@@ -383,8 +433,8 @@ mod tests {
         q.push_lane(10, Lane::Urgent).unwrap();
         q.push_lane(11, Lane::Urgent).unwrap();
         // Urgent drains first, FIFO within each lane.
-        assert_eq!(q.pop_up_to(3).unwrap(), vec![10, 11, 0]);
-        assert_eq!(q.pop_up_to(3).unwrap(), vec![1]);
+        assert_eq!(q.pop_vec(3).unwrap(), vec![10, 11, 0]);
+        assert_eq!(q.pop_vec(3).unwrap(), vec![1]);
     }
 
     #[test]
@@ -393,7 +443,7 @@ mod tests {
         q.try_push(1).unwrap();
         q.try_push(2).unwrap();
         assert_eq!(q.try_push(3), Err(PushError::Full));
-        let _ = q.pop_up_to(1);
+        let _ = q.pop_vec(1);
         q.try_push(3).unwrap();
     }
 
@@ -412,7 +462,7 @@ mod tests {
         assert_eq!(q.push_shed(11, Lane::Urgent), Ok(Some(1)));
         // Entirely urgent: nothing left to evict.
         assert_eq!(q.push_shed(12, Lane::Urgent), Err(PushError::Full));
-        assert_eq!(q.pop_up_to(4).unwrap(), vec![10, 11]);
+        assert_eq!(q.pop_vec(4).unwrap(), vec![10, 11]);
     }
 
     #[test]
@@ -423,16 +473,16 @@ mod tests {
         let producer = thread::spawn(move || q2.push(1).unwrap());
         thread::sleep(Duration::from_millis(20));
         assert_eq!(q.len(), 1, "producer must be blocked, not queued");
-        assert_eq!(q.pop_up_to(1).unwrap(), vec![0]);
+        assert_eq!(q.pop_vec(1).unwrap(), vec![0]);
         producer.join().unwrap();
-        assert_eq!(q.pop_up_to(1).unwrap(), vec![1]);
+        assert_eq!(q.pop_vec(1).unwrap(), vec![1]);
     }
 
     #[test]
     fn close_wakes_consumer_with_none() {
         let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(4));
         let q2 = Arc::clone(&q);
-        let consumer = thread::spawn(move || q2.pop_up_to(4));
+        let consumer = thread::spawn(move || q2.pop_vec(4));
         thread::sleep(Duration::from_millis(20));
         q.close();
         assert_eq!(consumer.join().unwrap(), None);
@@ -466,8 +516,8 @@ mod tests {
             .expect("blocked producer must wake promptly on close, not hang");
         assert_eq!(joined.unwrap(), Err(PushError::Closed));
         // The item enqueued before close is still poppable.
-        assert_eq!(q.pop_up_to(4), Some(vec![0]));
-        assert_eq!(q.pop_up_to(4), None);
+        assert_eq!(q.pop_vec(4), Some(vec![0]));
+        assert_eq!(q.pop_vec(4), None);
     }
 
     #[test]
@@ -487,9 +537,9 @@ mod tests {
         q.push(2).unwrap();
         q.try_push(3).unwrap();
         assert_eq!(q.push_shed(4, Lane::Urgent), Ok(None));
-        assert_eq!(q.pop_up_to(8).unwrap(), vec![4, 1, 2, 3]);
+        assert_eq!(q.pop_vec(8).unwrap(), vec![4, 1, 2, 3]);
         let deadline = Instant::now() + Duration::from_millis(5);
-        assert_eq!(q.pop_up_to_deadline(4, deadline), Some(Vec::new()));
+        assert_eq!(q.pop_deadline_vec(4, deadline), Some(Vec::new()));
         q.close();
         assert_eq!(q.push(9), Err(PushError::Closed));
     }
@@ -511,7 +561,7 @@ mod tests {
         let q = Arc::new(BoundedQueue::new(16));
         let q2 = Arc::clone(&q);
         let deadline = Instant::now() + Duration::from_secs(30);
-        let lingerer = thread::spawn(move || q2.pop_linger(3, deadline));
+        let lingerer = thread::spawn(move || q2.pop_linger_vec(3, deadline));
         await_lingerers(&q, 1);
         q.push(1u32).unwrap();
         q.push(2).unwrap();
@@ -529,12 +579,12 @@ mod tests {
     fn lingering_pop_takes_what_is_queued_at_its_deadline() {
         let q = BoundedQueue::new(16);
         let t0 = Instant::now();
-        let got = q.pop_linger(3, t0 + Duration::from_millis(30));
+        let got = q.pop_linger_vec(3, t0 + Duration::from_millis(30));
         assert_eq!(got, Some(Vec::<u32>::new()), "nothing queued: empty");
         assert!(t0.elapsed() >= Duration::from_millis(25));
         q.push(7u32).unwrap();
         let t0 = Instant::now();
-        let got = q.pop_linger(3, t0 + Duration::from_millis(30));
+        let got = q.pop_linger_vec(3, t0 + Duration::from_millis(30));
         assert_eq!(got, Some(vec![7]), "a partial top-up lands at the deadline");
         assert!(t0.elapsed() >= Duration::from_millis(25));
         // Never more than wanted, urgent first.
@@ -542,7 +592,7 @@ mod tests {
             q.push(i).unwrap();
         }
         q.push_lane(9, Lane::Urgent).unwrap();
-        assert_eq!(q.pop_linger(2, Instant::now()), Some(vec![9, 0]));
+        assert_eq!(q.pop_linger_vec(2, Instant::now()), Some(vec![9, 0]));
     }
 
     #[test]
@@ -551,12 +601,12 @@ mod tests {
         q.push(5u32).unwrap();
         let q2 = Arc::clone(&q);
         let deadline = Instant::now() + Duration::from_secs(30);
-        let lingerer = thread::spawn(move || q2.pop_linger(4, deadline));
+        let lingerer = thread::spawn(move || q2.pop_linger_vec(4, deadline));
         await_lingerers(&q, 1);
         q.close();
         // Queued work is still handed out; an empty closed queue ends it.
         assert_eq!(join_within(lingerer, Duration::from_secs(5)), Some(vec![5]));
-        assert_eq!(q.pop_linger(4, deadline), None);
+        assert_eq!(q.pop_linger_vec(4, deadline), None);
     }
 
     /// Spins until `n` lingerers are recorded, so a test can order its
@@ -572,10 +622,10 @@ mod tests {
         let q = Arc::new(BoundedQueue::new(64));
         let deadline = Instant::now() + Duration::from_secs(30);
         let qa = Arc::clone(&q);
-        let small = thread::spawn(move || qa.pop_linger(2, deadline));
+        let small = thread::spawn(move || qa.pop_linger_vec(2, deadline));
         await_lingerers(&q, 1);
         let qb = Arc::clone(&q);
-        let large = thread::spawn(move || qb.pop_linger(5, deadline));
+        let large = thread::spawn(move || qb.pop_linger_vec(5, deadline));
         await_lingerers(&q, 2);
         // The smaller want is reached first and must not wait for the
         // larger one registered after it.
@@ -629,9 +679,9 @@ mod tests {
                     loop {
                         let soon = Instant::now() + Duration::from_micros(200);
                         let batch = match c {
-                            0 => q.pop_up_to(4),
-                            1 => q.pop_up_to_deadline(4, soon),
-                            _ => q.pop_linger(4, soon),
+                            0 => q.pop_vec(4),
+                            1 => q.pop_deadline_vec(4, soon),
+                            _ => q.pop_linger_vec(4, soon),
                         };
                         match batch {
                             Some(items) => got.extend(items),
@@ -657,7 +707,7 @@ mod tests {
     fn deadline_pop_returns_empty_on_timeout() {
         let q: BoundedQueue<u32> = BoundedQueue::new(4);
         let t0 = Instant::now();
-        let got = q.pop_up_to_deadline(4, Instant::now() + Duration::from_millis(30));
+        let got = q.pop_deadline_vec(4, Instant::now() + Duration::from_millis(30));
         assert_eq!(got, Some(Vec::new()));
         assert!(t0.elapsed() >= Duration::from_millis(25));
     }

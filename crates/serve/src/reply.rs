@@ -1,14 +1,34 @@
-//! One-shot reply slots: how a worker hands each request its answer.
+//! One-shot reply slots: how a worker hands each request its answer — and
+//! the request's memory back to the thread that made it.
 //!
 //! A slot is one `Arc` holding a `Mutex` over the answer and a `Condvar`.
 //! The worker keeps the [`ReplyTx`] half inside the queued request; the
-//! client keeps the [`ReplyRx`] half inside its ticket. Compared with a
-//! per-request `mpsc` channel the slot allocates once, carries exactly one
-//! value, and the worker only notifies the condvar when the client has
-//! recorded that it is parked — a client that collects its answer after
-//! it landed costs the worker no wake-up syscall.
+//! client keeps the [`ReplyRx`] half inside its ticket. The client
+//! allocates the slot when it submits and frees it when it collects the
+//! answer; the worker only fills it, and notifies the condvar only when
+//! the client has recorded that it is parked — a client that collects its
+//! answer after it landed costs the worker no wake-up syscall.
 //!
-//! The contract matches the channel it replaces:
+//! Answering moves memory *to* the client, never frees it on the worker:
+//!
+//! * a single-sample answer of at most [`INLINE_LOGITS`] logits is written
+//!   inline into the slot ([`Reply::One`]); the client builds its
+//!   [`Prediction`] from it;
+//! * the request's [`Payload`] (the feature rows the client submitted)
+//!   travels back in the same slot, and [`ReplyRx::wait`] /
+//!   [`ReplyRx::poll`] drop it on the client thread after taking the
+//!   answer. A buffer allocated on one thread and freed on another takes
+//!   the allocator's cross-thread path, which dominated the merged
+//!   single-sample serve path before this hand-back.
+//!
+//! Error answers ([`ReplyTx::fail`]) carry no payload: the request drops
+//! its rows where it is, on the rare failure path. The slot itself is
+//! freed by whichever half lets go last — almost always the client, since
+//! the worker drops its reference right after filling; only a client that
+//! collects and drops its ticket inside that window leaves the free to
+//! the worker.
+//!
+//! The contract matches the channel the slot replaced:
 //!
 //! * every slot ends with exactly one answer: dropping the [`ReplyTx`]
 //!   unanswered (a request dropped by a dying worker or a closed queue)
@@ -18,25 +38,90 @@
 
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-use crate::server::{Prediction, ServeError};
+use crate::server::{Payload, Prediction, ServeError};
 
-/// What a request is answered with: one prediction per sample, or why not.
-pub(crate) type Answer = Result<Vec<Prediction>, ServeError>;
+/// Most logits a single-sample answer carries inline in its slot; wider
+/// outputs are answered as a one-element [`Reply::Many`].
+pub(crate) const INLINE_LOGITS: usize = 8;
+
+/// What a request is answered with, or why not.
+pub(crate) type Answer = Result<Reply, ServeError>;
+
+/// A successful answer.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Reply {
+    /// One sample's logits, written inline by the worker.
+    One(InlineLogits),
+    /// One prediction per sample, built by the worker.
+    Many(Vec<Prediction>),
+}
+
+impl Reply {
+    /// The one prediction of a single-sample answer.
+    pub(crate) fn single(self) -> Result<Prediction, ServeError> {
+        match self {
+            Reply::One(logits) => Ok(logits.prediction()),
+            Reply::Many(mut predictions) => predictions.pop().ok_or(ServeError::ShuttingDown),
+        }
+    }
+
+    /// One prediction per sample.
+    pub(crate) fn window(self) -> Vec<Prediction> {
+        match self {
+            Reply::One(logits) => vec![logits.prediction()],
+            Reply::Many(predictions) => predictions,
+        }
+    }
+}
+
+/// One sample's logits stored in place: no heap allocation on the worker.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct InlineLogits {
+    len: usize,
+    values: [f32; INLINE_LOGITS],
+}
+
+impl InlineLogits {
+    /// `row` stored inline, or `None` when it is wider than
+    /// [`INLINE_LOGITS`].
+    pub(crate) fn new(row: &[f32]) -> Option<Self> {
+        let mut values = [0.0; INLINE_LOGITS];
+        values.get_mut(..row.len())?.copy_from_slice(row);
+        Some(Self {
+            len: row.len(),
+            values,
+        })
+    }
+
+    /// The prediction these logits make (built on the client thread).
+    fn prediction(&self) -> Prediction {
+        let logits = self.values[..self.len].to_vec();
+        Prediction {
+            class: rbnn_tensor::argmax(&logits),
+            logits,
+        }
+    }
+}
 
 struct State {
     /// `None` until the worker half fills the slot. Taking the answer
     /// leaves `ShuttingDown` behind, so later reads see a disconnected
     /// slot.
     answer: Option<Answer>,
+    /// The request's rows, handed back with a successful answer so they
+    /// are freed by the client that allocated them.
+    payload: Option<Payload>,
     /// The client is blocked in [`ReplyRx::wait`]; only then does a fill
     /// notify the condvar.
     parked: bool,
 }
 
 impl State {
-    fn take(&mut self) -> Option<Answer> {
+    /// Takes the answer and the handed-back payload, if answered.
+    fn take(&mut self) -> Option<(Answer, Option<Payload>)> {
         let answer = self.answer.as_mut()?;
-        Some(std::mem::replace(answer, Err(ServeError::ShuttingDown)))
+        let answer = std::mem::replace(answer, Err(ServeError::ShuttingDown));
+        Some((answer, self.payload.take()))
     }
 }
 
@@ -68,6 +153,7 @@ pub(crate) fn slot() -> (ReplyTx, ReplyRx) {
     let slot = Arc::new(Slot {
         state: Mutex::new(State {
             answer: None,
+            payload: None,
             parked: false,
         }),
         filled: Condvar::new(),
@@ -81,18 +167,32 @@ pub(crate) fn slot() -> (ReplyTx, ReplyRx) {
 }
 
 impl ReplyTx {
-    /// Answers the request. A client that gave up (dropped its half) is
-    /// not an error; the answer is simply dropped with the slot.
-    pub(crate) fn send(mut self, answer: Answer) {
-        self.fill(answer);
+    /// Answers the request and hands its `payload` back to the client,
+    /// which frees it. A client that gave up (dropped its half) is not an
+    /// error; answer and payload are then dropped with the slot. Later
+    /// calls on an answered half do nothing.
+    pub(crate) fn answer(&mut self, reply: Reply, payload: Payload) {
+        self.fill(Ok(reply), Some(payload));
     }
 
-    fn fill(&mut self, answer: Answer) {
+    /// Answers the request with `error`. Later calls on an answered half
+    /// do nothing.
+    pub(crate) fn fail(&mut self, error: ServeError) {
+        self.fill(Err(error), None);
+    }
+
+    /// True once this half has answered.
+    pub(crate) fn is_answered(&self) -> bool {
+        self.slot.is_none()
+    }
+
+    fn fill(&mut self, answer: Answer, payload: Option<Payload>) {
         let Some(slot) = self.slot.take() else {
             return;
         };
         let mut state = slot.lock();
         state.answer = Some(answer);
+        state.payload = payload;
         let parked = state.parked;
         drop(state);
         // The client records `parked` under the lock before it waits, so
@@ -105,16 +205,19 @@ impl ReplyTx {
 
 impl Drop for ReplyTx {
     fn drop(&mut self) {
-        self.fill(Err(ServeError::ShuttingDown));
+        self.fail(ServeError::ShuttingDown);
     }
 }
 
 impl ReplyRx {
-    /// Blocks until the request is answered.
+    /// Blocks until the request is answered, then frees the handed-back
+    /// payload on this thread.
     pub(crate) fn wait(self) -> Answer {
         let mut state = self.slot.lock();
         loop {
-            if let Some(answer) = state.take() {
+            if let Some((answer, payload)) = state.take() {
+                drop(state);
+                drop(payload);
                 return answer;
             }
             state.parked = true;
@@ -126,9 +229,11 @@ impl ReplyRx {
         }
     }
 
-    /// The answer if it has already arrived.
+    /// The answer if it has already arrived; its handed-back payload is
+    /// freed on this thread.
     pub(crate) fn poll(&self) -> Option<Answer> {
-        self.slot.lock().take()
+        let taken = self.slot.lock().take();
+        taken.map(|(answer, _payload)| answer)
     }
 }
 
@@ -146,29 +251,75 @@ mod tests {
     use std::thread;
     use std::time::Duration;
 
-    fn answer(class: usize) -> Answer {
-        Ok(vec![Prediction {
+    fn reply(class: usize) -> Reply {
+        Reply::Many(vec![Prediction {
             class,
             logits: vec![class as f32],
         }])
     }
 
+    fn payload() -> Payload {
+        Payload::One(vec![0.5; 4])
+    }
+
     #[test]
     fn send_before_wait() {
-        let (tx, rx) = slot();
-        tx.send(answer(1));
-        assert_eq!(rx.wait(), answer(1));
+        let (mut tx, rx) = slot();
+        tx.answer(reply(1), payload());
+        assert!(tx.is_answered());
+        assert_eq!(rx.wait(), Ok(reply(1)));
     }
 
     #[test]
     fn wait_before_send() {
-        let (tx, rx) = slot();
+        let (mut tx, rx) = slot();
         let sender = thread::spawn(move || {
             thread::sleep(Duration::from_millis(20));
-            tx.send(answer(2));
+            tx.answer(reply(2), payload());
         });
-        assert_eq!(rx.wait(), answer(2));
+        assert_eq!(rx.wait(), Ok(reply(2)));
         sender.join().unwrap();
+    }
+
+    #[test]
+    fn only_the_first_answer_lands() {
+        let (mut tx, rx) = slot();
+        tx.fail(ServeError::DeadlineExceeded);
+        tx.answer(reply(3), payload());
+        drop(tx);
+        assert_eq!(rx.wait(), Err(ServeError::DeadlineExceeded));
+    }
+
+    #[test]
+    fn handed_back_payload_is_freed_by_the_collecting_client() {
+        // The worker thread answers and exits; the payload outlives it in
+        // the slot and is released only when the client collects.
+        let rows = Arc::new(vec![vec![1.0f32; 4]; 2]);
+        let (mut tx, rx) = slot();
+        let worker_rows = Payload::Window(Arc::clone(&rows));
+        thread::spawn(move || tx.answer(reply(4), worker_rows))
+            .join()
+            .unwrap();
+        assert_eq!(Arc::strong_count(&rows), 2, "the slot holds the payload");
+        assert_eq!(rx.wait(), Ok(reply(4)));
+        assert_eq!(Arc::strong_count(&rows), 1, "wait freed it");
+        // Polling hands it back the same way.
+        let (mut tx, rx) = slot();
+        tx.answer(reply(5), Payload::Window(Arc::clone(&rows)));
+        assert_eq!(rx.poll(), Some(Ok(reply(5))));
+        assert_eq!(Arc::strong_count(&rows), 1, "poll freed it");
+    }
+
+    #[test]
+    fn inline_logits_round_trip_and_refuse_wide_rows() {
+        let row = [0.25f32, -1.5, 3.0];
+        let inline = InlineLogits::new(&row).expect("fits inline");
+        let prediction = Reply::One(inline).single().unwrap();
+        assert_eq!(prediction.logits, row);
+        assert_eq!(prediction.class, 2);
+        assert_eq!(Reply::One(inline).window(), vec![prediction]);
+        assert!(InlineLogits::new(&[0.0; INLINE_LOGITS]).is_some());
+        assert!(InlineLogits::new(&[0.0; INLINE_LOGITS + 1]).is_none());
     }
 
     #[test]
@@ -190,24 +341,24 @@ mod tests {
     #[test]
     fn poll_then_wait() {
         // Nothing yet: poll leaves the slot armed and wait still answers.
-        let (tx, rx) = slot();
+        let (mut tx, rx) = slot();
         assert_eq!(rx.poll(), None);
-        let sender = thread::spawn(move || tx.send(answer(3)));
-        assert_eq!(rx.wait(), answer(3));
+        let sender = thread::spawn(move || tx.answer(reply(3), payload()));
+        assert_eq!(rx.wait(), Ok(reply(3)));
         sender.join().unwrap();
         // Taken by poll: the slot then reads as disconnected, so neither a
         // second poll nor a wait can hang.
-        let (tx, rx) = slot();
-        tx.send(answer(4));
-        assert_eq!(rx.poll(), Some(answer(4)));
+        let (mut tx, rx) = slot();
+        tx.answer(reply(4), payload());
+        assert_eq!(rx.poll(), Some(Ok(reply(4))));
         assert_eq!(rx.poll(), Some(Err(ServeError::ShuttingDown)));
         assert_eq!(rx.wait(), Err(ServeError::ShuttingDown));
     }
 
     #[test]
     fn answer_outlives_a_dropped_client() {
-        let (tx, rx) = slot();
+        let (mut tx, rx) = slot();
         drop(rx);
-        tx.send(answer(5));
+        tx.answer(reply(5), payload());
     }
 }

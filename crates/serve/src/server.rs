@@ -6,10 +6,22 @@
 //! replication rather than sharing because Monte-Carlo PCSA reads need
 //! `&mut self` (each read draws device noise), so a shared engine would
 //! serialize the whole pool behind one lock. Workers pull micro-batches
-//! through a [`Batcher`](crate::Batcher), group them by task, run the
-//! batched kernels, and answer each request through its one-shot reply
-//! slot: one `Arc` holding a `Mutex` and a `Condvar`, which the worker
-//! notifies only when the client is parked on it.
+//! through a [`Batcher`](crate::Batcher) into a per-worker request buffer,
+//! group them by task through a fixed index over [`ServeTask::ALL`], run
+//! the batched kernels, and answer each request through its one-shot reply
+//! slot (see [`crate::reply`]): one `Arc` holding a `Mutex` and a
+//! `Condvar`, which the worker notifies only when the client is parked on
+//! it.
+//!
+//! Memory stays with the thread that made it. The client allocates the
+//! request's feature rows and its reply slot; the worker reuses its batch
+//! buffer, row-gather scratch and plan buffers across batches, writes a
+//! single-sample answer inline into the slot, and hands the request's rows
+//! back through the slot, so the client frees them. A worker serving
+//! single-sample requests therefore makes no allocation in steady state
+//! (`tests/serve_alloc.rs` counts it) and frees no client buffer on the
+//! success path. Window requests still get their `Vec<Prediction>` built
+//! on the worker.
 //!
 //! Resilience (see also [`crate::supervisor`]): admission is governed by
 //! [`AdmissionPolicy`] (load-shed by default, with priority lanes);
@@ -35,7 +47,7 @@ use crate::batcher::{BatchPolicy, Batcher};
 use crate::fault::ChaosEvent;
 use crate::queue::{BoundedQueue, Lane, PushError};
 use crate::registry::{Backend, ModelEntry, ModelRegistry, ServeTask};
-use crate::reply::{self, Answer, ReplyRx, ReplyTx};
+use crate::reply::{self, InlineLogits, Reply, ReplyRx, ReplyTx};
 use crate::stats::{ServerStats, StatsSnapshot};
 use crate::supervisor::{FleetHealth, Supervisor, SupervisorPolicy};
 
@@ -223,15 +235,51 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
+/// The feature rows a request asks to classify, exactly as the client
+/// submitted them: the one row [`TaskClient::enqueue`] was given, or the
+/// shared window [`TaskClient::submit`] was given. Neither is copied or
+/// re-wrapped on the way to the worker, and a successful answer hands the
+/// payload back to the client through the reply slot, so it is freed on
+/// the thread that allocated it.
+#[derive(Debug)]
+pub(crate) enum Payload {
+    /// One sample.
+    One(Vec<f32>),
+    /// A shared window of samples.
+    Window(Arc<Vec<Vec<f32>>>),
+}
+
+impl Payload {
+    /// The rows, in submission order.
+    fn rows(&self) -> &[Vec<f32>] {
+        match self {
+            Payload::One(row) => std::slice::from_ref(row),
+            Payload::Window(rows) => rows,
+        }
+    }
+}
+
+/// An empty single-sample payload: what a request keeps once its rows have
+/// been handed back (`Vec::new` does not allocate).
+impl Default for Payload {
+    fn default() -> Self {
+        Payload::One(Vec::new())
+    }
+}
+
 /// One queued inference request: one or more samples for one task.
 ///
 /// Multi-sample requests (client-side batching — e.g. a monitor shipping a
 /// window of heartbeats) share a single queue slot, reply slot and
 /// dispatch, so the whole per-request fixed cost amortizes over the
 /// window.
+///
+/// A worker answers a request in place inside its batch buffer: a
+/// successful answer moves the [`Payload`] into the reply slot (the client
+/// frees it), an error answer leaves it to be dropped with the request.
 struct Request {
     task: ServeTask,
-    rows: Arc<Vec<Vec<f32>>>,
+    payload: Payload,
     submitted: Instant,
     /// Absolute expiry: a worker answers [`ServeError::DeadlineExceeded`]
     /// at dispatch instead of evaluating past this instant.
@@ -247,7 +295,7 @@ impl std::fmt::Debug for Request {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Request")
             .field("task", &self.task)
-            .field("samples", &self.rows.len())
+            .field("samples", &self.payload.rows().len())
             .finish()
     }
 }
@@ -324,10 +372,10 @@ impl Shared {
         &self,
         task: ServeTask,
         width: usize,
-        rows: Arc<Vec<Vec<f32>>>,
+        payload: Payload,
         opts: &SubmitOptions,
     ) -> Result<ReplyRx, ServeError> {
-        if let Some(row) = rows.iter().find(|row| row.len() != width) {
+        if let Some(row) = payload.rows().iter().find(|row| row.len() != width) {
             return Err(ServeError::FeatureWidth {
                 expected: width,
                 got: row.len(),
@@ -337,7 +385,7 @@ impl Shared {
         let now = Instant::now();
         let request = Request {
             task,
-            rows,
+            payload,
             submitted: now,
             deadline: opts.deadline.map(|d| now + d),
             dequeued: None,
@@ -350,9 +398,9 @@ impl Shared {
         };
         match outcome {
             Ok(evicted) => {
-                if let Some(victim) = evicted {
+                if let Some(mut victim) = evicted {
                     self.stats.record_evicted();
-                    victim.reply.send(Err(ServeError::Overloaded));
+                    victim.reply.fail(ServeError::Overloaded);
                 }
                 self.stats.record_submitted();
                 Ok(rx)
@@ -484,17 +532,26 @@ impl TaskClient {
         rows: Arc<Vec<Vec<f32>>>,
         opts: &SubmitOptions,
     ) -> Result<PendingWindow, ServeError> {
-        let rx = self.shared.submit(self.task, self.width, rows, opts)?;
+        let rx = self
+            .shared
+            .submit(self.task, self.width, Payload::Window(rows), opts)?;
         Ok(PendingWindow { rx })
     }
 
     /// Enqueues one sample with default options and returns a [`Pending`]
     /// ticket — the pipelined client path: keeping a window of outstanding
     /// requests in flight is what lets the pool form deep batches (a
-    /// strictly synchronous caller never queues more than one).
+    /// strictly synchronous caller never queues more than one). The row
+    /// travels to the worker as it is, and comes back to be freed on this
+    /// thread when the answer is collected.
     pub fn enqueue(&self, features: Vec<f32>) -> Result<Pending, ServeError> {
-        let window = self.submit(Arc::new(vec![features]), &SubmitOptions::default())?;
-        Ok(Pending { rx: window.rx })
+        let rx = self.shared.submit(
+            self.task,
+            self.width,
+            Payload::One(features),
+            &SubmitOptions::default(),
+        )?;
+        Ok(Pending { rx })
     }
 
     /// [`submit`](Self::submit) with default options: a zero-copy
@@ -527,20 +584,17 @@ pub struct Pending {
 }
 
 impl Pending {
-    /// Blocks until the pool answers.
+    /// Blocks until the pool answers. The prediction is built here, on the
+    /// caller's thread, from the logits the worker wrote into the reply
+    /// slot.
     pub fn wait(self) -> Result<Prediction, ServeError> {
-        single(self.rx.wait())
+        self.rx.wait().and_then(Reply::single)
     }
 
     /// Returns the answer if it has already arrived.
     pub fn poll(&self) -> Option<Result<Prediction, ServeError>> {
-        self.rx.poll().map(single)
+        self.rx.poll().map(|answer| answer.and_then(Reply::single))
     }
-}
-
-/// The one prediction of a single-sample answer.
-fn single(answer: Answer) -> Result<Prediction, ServeError> {
-    answer.and_then(|mut predictions| predictions.pop().ok_or(ServeError::ShuttingDown))
 }
 
 /// A not-yet-answered request of one or more samples (from
@@ -553,7 +607,7 @@ pub struct PendingWindow {
 impl PendingWindow {
     /// Blocks until the pool answers with one prediction per sample.
     pub fn wait(self) -> Result<Vec<Prediction>, ServeError> {
-        self.rx.wait()
+        self.rx.wait().map(Reply::window)
     }
 
     /// Returns the answer if it has already arrived — the non-blocking
@@ -561,7 +615,7 @@ impl PendingWindow {
     /// windows (e.g. a stream router draining whichever patient's verdict
     /// lands first).
     pub fn poll(&self) -> Option<Result<Vec<Prediction>, ServeError>> {
-        self.rx.poll()
+        self.rx.poll().map(|answer| answer.map(Reply::window))
     }
 }
 
@@ -671,8 +725,10 @@ impl PlanState {
     }
 
     /// Replays the cached plan over one batch on `engine`, returning the
-    /// logits tensor and the PCSA senses consumed (zero in software).
-    fn replay(&mut self, engine: &mut WorkerEngine, rows: &[&[f32]]) -> (Tensor, u64) {
+    /// batch's logits (row-major, `rows.len() × out_features`, a view of
+    /// the plan's own logits buffer) and the PCSA senses consumed (zero in
+    /// software).
+    fn replay(&mut self, engine: &mut WorkerEngine, rows: &[&[f32]]) -> (&[f32], u64) {
         let n = rows.len();
         let classes = self.plan.out_features();
         let out = &mut self.logits[..n * classes];
@@ -687,7 +743,7 @@ impl PlanState {
                 e.stats().senses - before
             }
         };
-        (Tensor::from_vec(out.to_vec(), [n, classes]), senses)
+        (out, senses)
     }
 }
 
@@ -708,6 +764,10 @@ struct Replica {
     fresh_respawn: bool,
 }
 
+/// One worker's replicas in [`ServeTask::ALL`] order; `None` for a task
+/// the registry does not serve.
+type Replicas = [Option<Replica>; ServeTask::ALL.len()];
+
 /// A running serving runtime. Dropping the server shuts it down and joins
 /// the pool.
 #[derive(Debug)]
@@ -723,7 +783,8 @@ impl Server {
     ///
     /// # Panics
     ///
-    /// Panics if `config.workers == 0` or the registry is empty.
+    /// Panics if `config.workers == 0`, the registry is empty, or
+    /// `config.batch.max_batch == 0` (via [`Batcher::new`]).
     pub fn start(registry: &ModelRegistry, config: &ServeConfig) -> Self {
         assert!(config.workers > 0, "need at least one worker");
         assert!(!registry.is_empty(), "cannot serve an empty registry");
@@ -759,37 +820,31 @@ impl Server {
         let workers = (0..config.workers)
             .map(|worker_idx| {
                 let shared = Arc::clone(&shared);
-                let mut replicas: BTreeMap<ServeTask, Replica> = registry
-                    .tasks()
-                    .map(|task| {
-                        let entry = registry.get(task).expect("registered");
-                        let mut engine_config = entry.engine_config.clone();
-                        // Distinct device seed per worker: replicas are
-                        // independently fabricated chips, not clones of
-                        // one die — and a respawn programs yet another
-                        // fresh fabric from the same recipe.
-                        let seed_salt = config.seed.wrapping_add(worker_idx as u64 * 0x9E37_79B9);
-                        engine_config.seed = engine_config.seed.wrapping_add(seed_salt);
-                        let spec = ReplicaSpec {
-                            network: entry.network.clone(),
-                            backend: config.backend,
-                            engine_config,
-                            engine_threads: config.engine_threads,
-                            seed_salt,
-                        };
-                        let engine = Some(spec.build());
-                        (
-                            task,
-                            Replica {
-                                spec,
-                                engine,
-                                version: 0,
-                                plan: None,
-                                fresh_respawn: false,
-                            },
-                        )
+                let mut replicas: Replicas = ServeTask::ALL.map(|task| {
+                    let entry = registry.get(task)?;
+                    let mut engine_config = entry.engine_config.clone();
+                    // Distinct device seed per worker: replicas are
+                    // independently fabricated chips, not clones of one
+                    // die — and a respawn programs yet another fresh
+                    // fabric from the same recipe.
+                    let seed_salt = config.seed.wrapping_add(worker_idx as u64 * 0x9E37_79B9);
+                    engine_config.seed = engine_config.seed.wrapping_add(seed_salt);
+                    let spec = ReplicaSpec {
+                        network: entry.network.clone(),
+                        backend: config.backend,
+                        engine_config,
+                        engine_threads: config.engine_threads,
+                        seed_salt,
+                    };
+                    let engine = Some(spec.build());
+                    Some(Replica {
+                        spec,
+                        engine,
+                        version: 0,
+                        plan: None,
+                        fresh_respawn: false,
                     })
-                    .collect();
+                });
                 let mut batcher = Batcher::new(config.batch.clone());
                 std::thread::Builder::new()
                     .name(format!("rbnn-serve-{worker_idx}"))
@@ -871,22 +926,26 @@ const WORKER_TICK: Duration = Duration::from_millis(25);
 /// ticking every [`WORKER_TICK`] even when idle so supervision (heartbeat,
 /// backoff-elapsed respawns) keeps running without traffic.
 ///
+/// The batch buffer and the row-gather scratch live here and are reused
+/// for every batch, so forming and gathering a batch allocates nothing in
+/// steady state.
+///
 /// This is a panic-freedom zone (see `analysis.toml`): a dying worker
 /// silently shrinks the pool, so nothing in the loop body may unwind —
 /// engine panics are contained inside [`serve_batch`].
-fn worker_loop(
-    shared: &Shared,
-    worker_idx: usize,
-    replicas: &mut BTreeMap<ServeTask, Replica>,
-    batcher: &mut Batcher,
-) {
+fn worker_loop(shared: &Shared, worker_idx: usize, replicas: &mut Replicas, batcher: &mut Batcher) {
+    let max_batch = batcher.policy().max_batch;
+    let mut batch: Vec<Request> = Vec::with_capacity(max_batch);
+    let mut scratch = RowScratch {
+        rows: Vec::with_capacity(max_batch),
+    };
     loop {
         shared.supervisor.heartbeat(worker_idx);
         respawn_due_replicas(shared, worker_idx, replicas);
         // Stamp each chunk as it leaves the queue (one clock read per
         // pop, not per request) so span traces can split queue wait from
         // the linger.
-        let batch = batcher.next_batch_within(&shared.queue, WORKER_TICK, |chunk| {
+        let open = batcher.next_batch_within(&shared.queue, WORKER_TICK, &mut batch, |chunk| {
             if rbnn_telemetry::enabled() {
                 let now = Instant::now();
                 for request in chunk.iter_mut() {
@@ -894,11 +953,15 @@ fn worker_loop(
                 }
             }
         });
-        let Some(batch) = batch else { break };
-        if batch.is_empty() {
-            continue;
+        if !open {
+            break;
         }
-        serve_batch(shared, worker_idx, replicas, batch);
+        if !batch.is_empty() {
+            serve_batch(shared, worker_idx, replicas, &mut batch, &mut scratch);
+            // Only requests answered with an error still own their rows;
+            // the rest handed theirs back to their clients.
+            batch.clear();
+        }
     }
 }
 
@@ -906,14 +969,11 @@ fn worker_loop(
 /// elapsed. Only the owning worker thread touches its engines, so
 /// recovery needs no cross-thread engine handoff: the supervisor decides
 /// *when*, the worker performs the rebuild.
-fn respawn_due_replicas(
-    shared: &Shared,
-    worker_idx: usize,
-    replicas: &mut BTreeMap<ServeTask, Replica>,
-) {
-    for (task, replica) in replicas.iter_mut() {
-        if replica.engine.is_none() && shared.supervisor.respawn_due(worker_idx, *task) {
-            try_respawn(shared, worker_idx, *task, replica);
+fn respawn_due_replicas(shared: &Shared, worker_idx: usize, replicas: &mut Replicas) {
+    for (task, replica) in ServeTask::ALL.into_iter().zip(replicas.iter_mut()) {
+        let Some(replica) = replica else { continue };
+        if replica.engine.is_none() && shared.supervisor.respawn_due(worker_idx, task) {
+            try_respawn(shared, worker_idx, task, replica);
         }
     }
 }
@@ -935,8 +995,46 @@ fn try_respawn(shared: &Shared, worker_idx: usize, task: ServeTask, replica: &mu
     }
 }
 
-/// Runs one micro-batch: group by task, drop expired requests, evaluate
-/// batched, answer each survivor with one prediction per sample.
+/// A worker's reusable storage for one task group's gathered row slices.
+///
+/// The slices borrow the current batch, which the worker refills between
+/// batches, so the vector cannot keep its element lifetime across them;
+/// [`RowScratch::lend`] and [`RowScratch::keep`] move its allocation
+/// between lifetimes instead.
+struct RowScratch {
+    rows: Vec<&'static [f32]>,
+}
+
+impl RowScratch {
+    /// The (empty) gather vector for one task group.
+    fn lend<'a>(&mut self) -> Vec<&'a [f32]> {
+        relifetime(std::mem::take(&mut self.rows))
+    }
+
+    /// Takes the gather vector back for the next group.
+    fn keep(&mut self, rows: Vec<&[f32]>) {
+        self.rows = relifetime(rows);
+    }
+}
+
+/// Empties `rows` and re-types it for another borrow lifetime, keeping its
+/// allocation: a collect from a vector's own `IntoIter` into an element
+/// type of the same layout reuses the buffer in place.
+fn relifetime<'b>(mut rows: Vec<&[f32]>) -> Vec<&'b [f32]> {
+    rows.clear();
+    rows.into_iter().map(|_| -> &'b [f32] { &[] }).collect()
+}
+
+/// Whether `request` belongs to `task`'s group and is still unanswered
+/// (expired and failed requests are answered in place).
+fn pending_for(request: &Request, task: ServeTask) -> bool {
+    request.task == task && !request.reply.is_answered()
+}
+
+/// Runs one micro-batch in place: answer expired requests, then walk
+/// [`ServeTask::ALL`] and serve each task's pending requests as one group
+/// (a single-task batch is one group, with no regrouping), evaluate each
+/// group batched, and answer each survivor with one prediction per sample.
 ///
 /// A panicking engine replica degrades only its own task group: the
 /// unwind is caught, every request in the group is answered with
@@ -944,34 +1042,40 @@ fn try_respawn(shared: &Shared, worker_idx: usize, task: ServeTask, replica: &mu
 /// worker (its interior state may be inconsistent mid-unwind) — the
 /// supervisor schedules its respawn. The worker thread itself — and every
 /// other replica it holds — keeps serving.
+///
+/// Zero-alloc zone (see `analysis.toml`): a single-sample answer is
+/// written inline into the reply slot and the request's rows are handed
+/// back to the client; only a window's prediction list is built, by
+/// [`window_predictions`].
 fn serve_batch(
     shared: &Shared,
     worker_idx: usize,
-    replicas: &mut BTreeMap<ServeTask, Replica>,
-    batch: Vec<Request>,
+    replicas: &mut Replicas,
+    batch: &mut [Request],
+    scratch: &mut RowScratch,
 ) {
-    let mut by_task: BTreeMap<ServeTask, Vec<Request>> = BTreeMap::new();
     let now = Instant::now();
-    for request in batch {
+    for request in batch.iter_mut() {
         // Deadline check happens *before* the engine sees the request: an
         // expired answer is useless to the caller, so spending senses on
         // it would only add latency to everything queued behind it.
         if request.deadline.is_some_and(|d| now >= d) {
             shared.stats.record_expired();
-            request.reply.send(Err(ServeError::DeadlineExceeded));
-            continue;
+            request.reply.fail(ServeError::DeadlineExceeded);
         }
-        by_task.entry(request.task).or_default().push(request);
     }
     // Only groups that returned logits count as inferred: failed groups
     // and expired requests never reach the engine's batch statistics.
     let mut senses_total = 0u64;
     let mut samples_total = 0usize;
-    for (task, requests) in by_task {
-        // Submit validated the task, so a miss here means the slot map is
-        // inconsistent — fail the group, keep the worker.
-        let Some(replica) = replicas.get_mut(&task) else {
-            fail_group(requests, ServeError::EngineFault);
+    for (task, replica) in ServeTask::ALL.into_iter().zip(replicas.iter_mut()) {
+        if !batch.iter().any(|r| pending_for(r, task)) {
+            continue;
+        }
+        // Submit validated the task, so a miss here means the replica
+        // table is inconsistent — fail the group, keep the worker.
+        let Some(replica) = replica else {
+            fail_group(batch, task, ServeError::EngineFault);
             continue;
         };
         // A hot-swapped model is adopted *before* the respawn check and
@@ -988,22 +1092,30 @@ fn serve_batch(
             // Still down or quarantined: the group fails fast with a
             // retryable error and the client's backoff takes it to
             // another worker (or a later attempt).
-            fail_group(requests, ServeError::EngineFault);
+            fail_group(batch, task, ServeError::EngineFault);
             continue;
         };
         // Disjoint field borrows: the closure needs the engine, the plan
         // cache and the network recipe at once.
         let plan = &mut replica.plan;
         let network = &replica.spec.network;
-        let rows: Vec<&[f32]> = requests
-            .iter()
-            .flat_map(|r| r.rows.iter().map(Vec::as_slice))
-            .collect();
+        let classes = network.out_features();
+        let mut rows = scratch.lend();
+        rows.extend(
+            batch
+                .iter()
+                .filter(|r| pending_for(r, task))
+                .flat_map(|r| r.payload.rows().iter().map(Vec::as_slice)),
+        );
+        let samples = rows.len();
         // Dispatch stamp: the batch is formed and this task group is
         // handed to the engine. Everything before is queue wait (+linger),
         // everything after is service.
         let dispatched = Instant::now();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let gathered: &[&[f32]] = &rows;
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            // Moved, not reborrowed, so the logits can outlive the closure.
+            let plan = plan;
             match crate::fault::next_event() {
                 Some(ChaosEvent::Panic) => crate::fault::injected_panic(),
                 Some(ChaosEvent::Stall(pause)) => std::thread::sleep(pause),
@@ -1011,21 +1123,22 @@ fn serve_batch(
                 Some(ChaosEvent::Drift { cycles }) => engine.age(cycles),
                 None => {}
             }
-            Ok(dispatch_rows(engine, network, plan, &rows))
+            Ok(dispatch_rows(engine, network, plan, gathered))
         }));
+        scratch.keep(rows);
         let (logits, senses) = match outcome {
             Ok(Ok(result)) => result,
             Ok(Err(())) => {
                 // Transient engine error: the replica stays up, the group
                 // is answered with a retryable error.
                 shared.stats.record_transient();
-                fail_group(requests, ServeError::Transient);
+                fail_group(batch, task, ServeError::Transient);
                 continue;
             }
             Err(_) => {
                 replica.engine = None;
                 shared.supervisor.record_fault(worker_idx, task);
-                fail_group(requests, ServeError::EngineFault);
+                fail_group(batch, task, ServeError::EngineFault);
                 continue;
             }
         };
@@ -1033,26 +1146,27 @@ fn serve_batch(
             replica.fresh_respawn = false;
             shared.supervisor.mark_stable(worker_idx, task);
         }
-        maybe_degrade(shared, worker_idx, task, replica);
-        samples_total += rows.len();
+        maybe_degrade(shared, worker_idx, task, &mut replica.engine);
+        samples_total += samples;
         senses_total += senses;
-        let classes = logits.dim(1);
         let mut offset = 0usize;
-        for request in requests {
-            let predictions: Vec<Prediction> = (offset..offset + request.rows.len())
-                .map(|i| {
-                    let row = &logits.as_slice()[i * classes..(i + 1) * classes];
-                    Prediction {
-                        class: rbnn_tensor::argmax(row),
-                        logits: row.to_vec(),
-                    }
-                })
-                .collect();
-            offset += request.rows.len();
+        for request in batch.iter_mut().filter(|r| pending_for(r, task)) {
+            let n = request.payload.rows().len();
+            let out = logits
+                .get(offset * classes..(offset + n) * classes)
+                .unwrap_or_default();
+            offset += n;
+            let reply = match request.payload {
+                Payload::One(_) => InlineLogits::new(out)
+                    .map_or_else(|| Reply::Many(window_predictions(out, classes)), Reply::One),
+                Payload::Window(_) => Reply::Many(window_predictions(out, classes)),
+            };
             let latency = request.submitted.elapsed();
             let queue_wait = dispatched.duration_since(request.submitted);
             let service = latency.saturating_sub(queue_wait);
-            request.reply.send(Ok(predictions));
+            request
+                .reply
+                .answer(reply, std::mem::take(&mut request.payload));
             let ordinal = shared
                 .stats
                 .record_completed_split(latency, queue_wait, service);
@@ -1062,7 +1176,7 @@ fn serve_batch(
                         queue_wait: dequeued.duration_since(request.submitted),
                         batch_wait: dispatched.duration_since(dequeued),
                         service,
-                        samples: request.rows.len(),
+                        samples: n,
                     });
                 }
             }
@@ -1075,6 +1189,20 @@ fn serve_batch(
     }
 }
 
+/// The predictions of a window answer (`classes` logits per sample): the
+/// one allocation a successful answer makes on the worker, kept outside
+/// the zero-alloc zone on purpose — building it on the client would put it
+/// on the submitting thread, the serial stage of window traffic.
+fn window_predictions(logits: &[f32], classes: usize) -> Vec<Prediction> {
+    logits
+        .chunks_exact(classes)
+        .map(|row| Prediction {
+            class: rbnn_tensor::argmax(row),
+            logits: row.to_vec(),
+        })
+        .collect()
+}
+
 /// Smallest batch capacity an execution plan is compiled for: batches grow
 /// to the next power of two above this floor, so a ramp-up from
 /// single-sample traffic to full micro-batches recompiles the plan only
@@ -1085,14 +1213,15 @@ const MIN_PLAN_BATCH: usize = 16;
 /// Evaluates one task group by replaying the replica's cached
 /// [`PlanState`] — compiled here on first use (or when the batch outgrows
 /// its capacity), then reused with zero per-request planning or
-/// allocation. Replay is bitwise-equal to the single-sample oracle (locked
-/// by the conformance oracle's serve and plan paths).
-fn dispatch_rows(
+/// allocation. Returns a view of the plan's logits buffer. Replay is
+/// bitwise-equal to the single-sample oracle (locked by the conformance
+/// oracle's serve and plan paths).
+fn dispatch_rows<'p>(
     engine: &mut WorkerEngine,
     network: &BinaryNetwork,
-    plan: &mut Option<PlanState>,
+    plan: &'p mut Option<PlanState>,
     rows: &[&[f32]],
-) -> (Tensor, u64) {
+) -> (&'p [f32], u64) {
     let n = rows.len();
     if plan.as_ref().is_some_and(|p| p.plan.max_batch() < n) {
         *plan = None;
@@ -1133,11 +1262,12 @@ fn adopt_model(shared: &Shared, worker_idx: usize, task: ServeTask, replica: &mu
     }
 }
 
-/// Answers every request of a failed task group with `error`. A client
-/// that already gave up (dropped its ticket) is not an error.
-fn fail_group(requests: Vec<Request>, error: ServeError) {
-    for request in requests {
-        request.reply.send(Err(error.clone()));
+/// Answers every still-pending request of `task`'s group with `error`;
+/// their rows are dropped with the batch. A client that already gave up
+/// (dropped its ticket) is not an error.
+fn fail_group(batch: &mut [Request], task: ServeTask, error: ServeError) {
+    for request in batch.iter_mut().filter(|r| pending_for(r, task)) {
+        request.reply.fail(error.clone());
     }
 }
 
@@ -1147,16 +1277,21 @@ fn fail_group(requests: Vec<Request>, error: ServeError) {
 /// flowing at software speed while the fleet report shows the die as
 /// degraded — mirroring the paper's deployment story, where the
 /// digital path is the always-available fallback for a worn fabric.
-fn maybe_degrade(shared: &Shared, worker_idx: usize, task: ServeTask, replica: &mut Replica) {
+fn maybe_degrade(
+    shared: &Shared,
+    worker_idx: usize,
+    task: ServeTask,
+    engine: &mut Option<WorkerEngine>,
+) {
     if shared.degrade_marginal_threshold <= 0.0 {
         return;
     }
-    let Some(engine) = replica.engine.as_ref() else {
+    let Some(live) = engine.as_ref() else {
         return;
     };
-    if let Some(fraction) = engine.marginal_fraction() {
+    if let Some(fraction) = live.marginal_fraction() {
         if fraction > shared.degrade_marginal_threshold {
-            replica.engine = Some(WorkerEngine::Software);
+            *engine = Some(WorkerEngine::Software);
             shared.supervisor.record_degraded(worker_idx, task);
         }
     }

@@ -1,7 +1,8 @@
 //! Served == direct through the request paths the serving runtime is
 //! optimised for: pipelined single-sample requests merged by the batcher,
 //! zero-copy shared windows collected by polling, urgent eviction under
-//! overload, and requests still outstanding at shutdown — plus the typed
+//! overload, requests still outstanding at shutdown, and mixed-task
+//! batches the worker regroups by task in place — plus the typed
 //! errors of the one submit primitive (expired deadline, a window with
 //! one bad row, an unregistered task).
 //!
@@ -14,13 +15,16 @@ use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rbnn_binary::BinaryNetwork;
 use rbnn_rram::EngineConfig;
 use rbnn_serve::{
-    demo_network, AdmissionPolicy, BatchPolicy, ModelRegistry, Prediction, ServeConfig, ServeError,
-    ServeTask, Server, SubmitOptions,
+    demo_network, AdmissionPolicy, BatchPolicy, ModelRegistry, Pending, PendingWindow, Prediction,
+    ServeConfig, ServeError, ServeTask, Server, SubmitOptions,
 };
 
 const DIMS: [usize; 3] = [408, 75, 2];
+/// A second task of a different width (and class count) for mixed batches.
+const EEG_DIMS: [usize; 3] = [256, 40, 3];
 
 fn registry(seed: u64) -> ModelRegistry {
     let mut registry = ModelRegistry::new();
@@ -33,14 +37,24 @@ fn registry(seed: u64) -> ModelRegistry {
 }
 
 fn rows(n: usize, rng: &mut StdRng) -> Vec<Vec<f32>> {
+    rows_of(DIMS[0], n, rng)
+}
+
+fn rows_of(width: usize, n: usize, rng: &mut StdRng) -> Vec<Vec<f32>> {
     (0..n)
-        .map(|_| (0..DIMS[0]).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
+        .map(|_| (0..width).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
         .collect()
 }
 
-/// Bitwise equality of a served prediction with the network's own logits.
+/// Bitwise equality of a served ECG prediction with the network's own
+/// logits.
 fn assert_bitwise(registry: &ModelRegistry, row: &[f32], served: &Prediction) {
     let net = &registry.get(ServeTask::Ecg).expect("registered").network;
+    assert_matches(net, row, served);
+}
+
+/// Bitwise equality of a served prediction with `net`'s own logits.
+fn assert_matches(net: &BinaryNetwork, row: &[f32], served: &Prediction) {
     let direct = net.logits(row);
     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(&served.logits), bits(&direct));
@@ -284,4 +298,90 @@ fn classify_on_an_unregistered_task_is_unknown_task() {
         Err(ServeError::UnknownTask(ServeTask::Eeg))
     );
     server.shutdown();
+}
+
+#[test]
+fn mixed_task_batches_regroup_in_row_order_and_expire_in_place() {
+    let mut registry = registry(28);
+    registry.insert(
+        ServeTask::Eeg,
+        demo_network(&EEG_DIMS, 28),
+        EngineConfig::test_chip(28),
+    );
+    let server = Server::start(
+        &registry,
+        &ServeConfig {
+            workers: 1,
+            admission: AdmissionPolicy::Block,
+            ..ServeConfig::default()
+        },
+    );
+    let handle = server.handle();
+    let tasks = [ServeTask::Ecg, ServeTask::Eeg];
+    let clients = tasks.map(|task| handle.client(task).expect("registered"));
+    let mut rng = StdRng::seed_from_u64(8);
+    enum Ticket {
+        One(Pending),
+        Window(PendingWindow),
+    }
+    // Interleaved so every batch the lone worker pops mixes both tasks,
+    // single samples and 3-row windows; every fifth request is already
+    // past its deadline when it is dispatched.
+    const REQUESTS: usize = 400;
+    let submitted: Vec<_> = (0..REQUESTS)
+        .map(|i| {
+            let task = i % 2;
+            let window = (i / 2) % 2 == 1;
+            let expired = i % 5 == 4;
+            let client = &clients[task];
+            let rows = rows_of(client.in_features(), if window { 3 } else { 1 }, &mut rng);
+            let ticket = if expired {
+                let opts = SubmitOptions {
+                    deadline: Some(Duration::ZERO),
+                    ..SubmitOptions::default()
+                };
+                Ticket::Window(
+                    client
+                        .submit(Arc::new(rows.clone()), &opts)
+                        .expect("admitted"),
+                )
+            } else if window {
+                Ticket::Window(
+                    client
+                        .enqueue_shared(Arc::new(rows.clone()))
+                        .expect("admitted"),
+                )
+            } else {
+                Ticket::One(client.enqueue(rows[0].clone()).expect("admitted"))
+            };
+            (tasks[task], rows, expired, ticket)
+        })
+        .collect();
+    let mut expired_count = 0u64;
+    for (task, rows, expired, ticket) in submitted {
+        let answer = match ticket {
+            Ticket::One(pending) => pending.wait().map(|p| vec![p]),
+            Ticket::Window(pending) => pending.wait(),
+        };
+        if expired {
+            assert_eq!(answer, Err(ServeError::DeadlineExceeded));
+            expired_count += 1;
+            continue;
+        }
+        let answer = answer.expect("served");
+        assert_eq!(answer.len(), rows.len());
+        let net = &registry.get(task).expect("registered").network;
+        for (row, served) in rows.iter().zip(&answer) {
+            assert_matches(net, row, served);
+        }
+    }
+    let snap = server.shutdown();
+    assert_eq!(expired_count, REQUESTS as u64 / 5);
+    assert_eq!(snap.expired, expired_count);
+    assert_eq!(snap.completed + snap.expired, REQUESTS as u64);
+    assert!(
+        snap.mean_batch > 2.0,
+        "pipelined mixed traffic must merge, mean batch {:.2}",
+        snap.mean_batch
+    );
 }
