@@ -28,9 +28,10 @@
 //!    (replicas, not shared engines: PCSA reads need `&mut self`);
 //! 4. each request's one-shot reply slot delivers its answer (the worker
 //!    wakes the client only if it is parked on the slot) together with
-//!    the request's rows, which the client frees: a single-sample answer
-//!    is written inline and turned into a [`Prediction`] on the client,
-//!    so the worker makes no allocation for it; and
+//!    the request's rows, which the client frees: a [`Prediction`] holds
+//!    its logits inline ([`Logits`]), so a single-sample answer costs the
+//!    worker no allocation and a window answer exactly one, its
+//!    `Vec<Prediction>`; and
 //!    [`ServerStats`] records end-to-end latency into a log-scaled
 //!    histogram (p50/p95/p99), throughput, batch fill and per-replica
 //!    array counters.
@@ -78,6 +79,7 @@
 mod batcher;
 #[doc(hidden)]
 pub mod fault;
+mod logits;
 pub mod queue;
 mod registry;
 mod reply;
@@ -88,6 +90,7 @@ mod supervisor;
 
 pub use batcher::{BatchPolicy, Batcher};
 pub use fault::ChaosPlan;
+pub use logits::{Logits, MAX_CLASSES};
 pub use registry::{demo_network, Backend, ModelEntry, ModelRegistry, ServeTask};
 pub use retry::RetryPolicy;
 pub use server::{

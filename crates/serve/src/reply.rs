@@ -11,9 +11,11 @@
 //!
 //! Answering moves memory *to* the client, never frees it on the worker:
 //!
-//! * a single-sample answer of at most [`INLINE_LOGITS`] logits is written
-//!   inline into the slot ([`Reply::One`]); the client builds its
-//!   [`Prediction`] from it;
+//! * a [`Prediction`] holds its logits inline ([`crate::Logits`]), so a
+//!   single-sample answer is one prediction moved into the slot
+//!   ([`Reply::One`]) with no allocation, and a window answer is one
+//!   `Vec<Prediction>` ([`Reply::Many`]) — the only allocation answering
+//!   makes, freed by the client with the answer;
 //! * the request's [`Payload`] (the feature rows the client submitted)
 //!   travels back in the same slot, and [`ReplyRx::wait`] /
 //!   [`ReplyRx::poll`] drop it on the client thread after taking the
@@ -40,65 +42,36 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use crate::server::{Payload, Prediction, ServeError};
 
-/// Most logits a single-sample answer carries inline in its slot; wider
-/// outputs are answered as a one-element [`Reply::Many`].
-pub(crate) const INLINE_LOGITS: usize = 8;
-
 /// What a request is answered with, or why not.
 pub(crate) type Answer = Result<Reply, ServeError>;
 
-/// A successful answer.
+/// A successful answer, in the shape the request was submitted in.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Reply {
-    /// One sample's logits, written inline by the worker.
-    One(InlineLogits),
-    /// One prediction per sample, built by the worker.
+    /// The prediction of a single-sample request.
+    One(Prediction),
+    /// One prediction per sample of a window request.
     Many(Vec<Prediction>),
 }
 
 impl Reply {
-    /// The one prediction of a single-sample answer.
+    /// The one prediction of a single-sample answer. The worker answers a
+    /// single-sample request only with [`Reply::One`]; any other shape
+    /// reads as a disconnected slot.
     pub(crate) fn single(self) -> Result<Prediction, ServeError> {
         match self {
-            Reply::One(logits) => Ok(logits.prediction()),
-            Reply::Many(mut predictions) => predictions.pop().ok_or(ServeError::ShuttingDown),
+            Reply::One(prediction) => Ok(prediction),
+            Reply::Many(_) => Err(ServeError::ShuttingDown),
         }
     }
 
-    /// One prediction per sample.
-    pub(crate) fn window(self) -> Vec<Prediction> {
+    /// One prediction per sample of a window answer. The worker answers a
+    /// window request only with [`Reply::Many`]; any other shape reads as
+    /// a disconnected slot.
+    pub(crate) fn window(self) -> Result<Vec<Prediction>, ServeError> {
         match self {
-            Reply::One(logits) => vec![logits.prediction()],
-            Reply::Many(predictions) => predictions,
-        }
-    }
-}
-
-/// One sample's logits stored in place: no heap allocation on the worker.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct InlineLogits {
-    len: usize,
-    values: [f32; INLINE_LOGITS],
-}
-
-impl InlineLogits {
-    /// `row` stored inline, or `None` when it is wider than
-    /// [`INLINE_LOGITS`].
-    pub(crate) fn new(row: &[f32]) -> Option<Self> {
-        let mut values = [0.0; INLINE_LOGITS];
-        values.get_mut(..row.len())?.copy_from_slice(row);
-        Some(Self {
-            len: row.len(),
-            values,
-        })
-    }
-
-    /// The prediction these logits make (built on the client thread).
-    fn prediction(&self) -> Prediction {
-        let logits = self.values[..self.len].to_vec();
-        Prediction {
-            class: rbnn_tensor::argmax(&logits),
-            logits,
+            Reply::Many(predictions) => Ok(predictions),
+            Reply::One(_) => Err(ServeError::ShuttingDown),
         }
     }
 }
@@ -248,13 +221,14 @@ impl std::fmt::Debug for ReplyRx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Logits;
     use std::thread;
     use std::time::Duration;
 
     fn reply(class: usize) -> Reply {
         Reply::Many(vec![Prediction {
             class,
-            logits: vec![class as f32],
+            logits: Logits::new(&[class as f32]).expect("fits inline"),
         }])
     }
 
@@ -311,15 +285,21 @@ mod tests {
     }
 
     #[test]
-    fn inline_logits_round_trip_and_refuse_wide_rows() {
-        let row = [0.25f32, -1.5, 3.0];
-        let inline = InlineLogits::new(&row).expect("fits inline");
-        let prediction = Reply::One(inline).single().unwrap();
-        assert_eq!(prediction.logits, row);
-        assert_eq!(prediction.class, 2);
-        assert_eq!(Reply::One(inline).window(), vec![prediction]);
-        assert!(InlineLogits::new(&[0.0; INLINE_LOGITS]).is_some());
-        assert!(InlineLogits::new(&[0.0; INLINE_LOGITS + 1]).is_none());
+    fn each_ticket_reads_only_its_own_answer_shape() {
+        let prediction = Prediction {
+            class: 1,
+            logits: Logits::new(&[0.25, 3.0]).expect("fits inline"),
+        };
+        assert_eq!(Reply::One(prediction).single(), Ok(prediction));
+        assert_eq!(Reply::Many(vec![prediction]).window(), Ok(vec![prediction]));
+        assert_eq!(
+            Reply::Many(vec![prediction]).single(),
+            Err(ServeError::ShuttingDown)
+        );
+        assert_eq!(
+            Reply::One(prediction).window(),
+            Err(ServeError::ShuttingDown)
+        );
     }
 
     #[test]

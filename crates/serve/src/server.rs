@@ -15,13 +15,12 @@
 //!
 //! Memory stays with the thread that made it. The client allocates the
 //! request's feature rows and its reply slot; the worker reuses its batch
-//! buffer, row-gather scratch and plan buffers across batches, writes a
-//! single-sample answer inline into the slot, and hands the request's rows
-//! back through the slot, so the client frees them. A worker serving
-//! single-sample requests therefore makes no allocation in steady state
-//! (`tests/serve_alloc.rs` counts it) and frees no client buffer on the
-//! success path. Window requests still get their `Vec<Prediction>` built
-//! on the worker.
+//! buffer, row-gather scratch and plan buffers across batches, and hands
+//! the request's rows back through the slot, so the client frees them. A
+//! [`Prediction`] holds its logits inline ([`Logits`]), so a single-sample
+//! answer costs the worker no allocation and an n-row window answer costs
+//! it exactly one, the `Vec<Prediction>` (`tests/serve_alloc.rs` counts
+//! both). On the success path the worker frees no client buffer.
 //!
 //! Resilience (see also [`crate::supervisor`]): admission is governed by
 //! [`AdmissionPolicy`] (load-shed by default, with priority lanes);
@@ -45,9 +44,10 @@ use rbnn_tensor::Tensor;
 
 use crate::batcher::{BatchPolicy, Batcher};
 use crate::fault::ChaosEvent;
+use crate::logits::{Logits, MAX_CLASSES};
 use crate::queue::{BoundedQueue, Lane, PushError};
 use crate::registry::{Backend, ModelEntry, ModelRegistry, ServeTask};
-use crate::reply::{self, InlineLogits, Reply, ReplyRx, ReplyTx};
+use crate::reply::{self, Reply, ReplyRx, ReplyTx};
 use crate::stats::{ServerStats, StatsSnapshot};
 use crate::supervisor::{FleetHealth, Supervisor, SupervisorPolicy};
 
@@ -168,12 +168,23 @@ impl Default for ServeConfig {
 }
 
 /// A served classification result.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Prediction {
     /// Argmax class index.
     pub class: usize,
-    /// Raw output logits.
-    pub logits: Vec<f32>,
+    /// Raw output logits, held inline.
+    pub logits: Logits,
+}
+
+impl Prediction {
+    /// The prediction one sample's logits make, or `None` when the row is
+    /// wider than [`MAX_CLASSES`]. Allocates nothing.
+    fn from_row(row: &[f32]) -> Option<Self> {
+        Some(Prediction {
+            class: rbnn_tensor::argmax(row),
+            logits: Logits::new(row)?,
+        })
+    }
 }
 
 /// Why a request failed.
@@ -206,6 +217,14 @@ pub enum ServeError {
     /// The request's [`deadline`](SubmitOptions::deadline) expired before
     /// engine dispatch; it was dropped without consuming engine time.
     DeadlineExceeded,
+    /// The model has more outputs than a [`Prediction`] holds inline; a
+    /// hot swap to it is refused.
+    TooManyClasses {
+        /// Most outputs a served model may have ([`MAX_CLASSES`]).
+        max: usize,
+        /// Outputs the refused model has.
+        got: usize,
+    },
 }
 
 impl std::fmt::Display for ServeError {
@@ -228,6 +247,12 @@ impl std::fmt::Display for ServeError {
             }
             ServeError::DeadlineExceeded => {
                 write!(f, "request deadline expired before engine dispatch")
+            }
+            ServeError::TooManyClasses { max, got } => {
+                write!(
+                    f,
+                    "model has {got} outputs, a served model may have at most {max}"
+                )
             }
         }
     }
@@ -352,6 +377,7 @@ impl Shared {
         if got != expected {
             return Err(ServeError::FeatureWidth { expected, got });
         }
+        check_classes(&entry.network)?;
         let mut models = self.models.write().unwrap_or_else(PoisonError::into_inner);
         let slot = models.get_mut(&task).ok_or(ServeError::UnknownTask(task))?;
         slot.version += 1;
@@ -483,7 +509,9 @@ impl ServeHandle {
     ///
     /// The replacement must keep the registered feature width
     /// ([`ServeError::FeatureWidth`] otherwise): clients cache widths at
-    /// bind time, so the swap contract is width-stable by design.
+    /// bind time, so the swap contract is width-stable by design. It may
+    /// have at most [`MAX_CLASSES`] outputs
+    /// ([`ServeError::TooManyClasses`] otherwise).
     pub fn swap_model(&self, task: ServeTask, entry: ModelEntry) -> Result<u64, ServeError> {
         self.shared.swap_model(task, entry)
     }
@@ -584,9 +612,9 @@ pub struct Pending {
 }
 
 impl Pending {
-    /// Blocks until the pool answers. The prediction is built here, on the
-    /// caller's thread, from the logits the worker wrote into the reply
-    /// slot.
+    /// Blocks until the pool answers. The worker writes the prediction,
+    /// logits inline, into the reply slot, so collecting it allocates
+    /// nothing.
     pub fn wait(self) -> Result<Prediction, ServeError> {
         self.rx.wait().and_then(Reply::single)
     }
@@ -607,7 +635,7 @@ pub struct PendingWindow {
 impl PendingWindow {
     /// Blocks until the pool answers with one prediction per sample.
     pub fn wait(self) -> Result<Vec<Prediction>, ServeError> {
-        self.rx.wait().map(Reply::window)
+        self.rx.wait().and_then(Reply::window)
     }
 
     /// Returns the answer if it has already arrived — the non-blocking
@@ -615,7 +643,7 @@ impl PendingWindow {
     /// windows (e.g. a stream router draining whichever patient's verdict
     /// lands first).
     pub fn poll(&self) -> Option<Result<Vec<Prediction>, ServeError>> {
-        self.rx.poll().map(|answer| answer.map(Reply::window))
+        self.rx.poll().map(|answer| answer.and_then(Reply::window))
     }
 }
 
@@ -783,11 +811,18 @@ impl Server {
     ///
     /// # Panics
     ///
-    /// Panics if `config.workers == 0`, the registry is empty, or
+    /// Panics if `config.workers == 0`, the registry is empty, a
+    /// registered model has more than [`MAX_CLASSES`] outputs, or
     /// `config.batch.max_batch == 0` (via [`Batcher::new`]).
     pub fn start(registry: &ModelRegistry, config: &ServeConfig) -> Self {
         assert!(config.workers > 0, "need at least one worker");
         assert!(!registry.is_empty(), "cannot serve an empty registry");
+        for task in registry.tasks() {
+            let entry = registry.get(task).expect("registered");
+            if let Err(refused) = check_classes(&entry.network) {
+                panic!("cannot serve {}: {refused}", task.name());
+            }
+        }
         let widths: BTreeMap<ServeTask, usize> = registry
             .tasks()
             .map(|t| (t, registry.in_features(t).expect("registered")))
@@ -1031,6 +1066,19 @@ fn pending_for(request: &Request, task: ServeTask) -> bool {
     request.task == task && !request.reply.is_answered()
 }
 
+/// Refuses a model whose outputs do not fit a [`Prediction`]'s inline
+/// [`Logits`].
+fn check_classes(network: &BinaryNetwork) -> Result<(), ServeError> {
+    let got = network.out_features();
+    if got > MAX_CLASSES {
+        return Err(ServeError::TooManyClasses {
+            max: MAX_CLASSES,
+            got,
+        });
+    }
+    Ok(())
+}
+
 /// Runs one micro-batch in place: answer expired requests, then walk
 /// [`ServeTask::ALL`] and serve each task's pending requests as one group
 /// (a single-task batch is one group, with no regrouping), evaluate each
@@ -1043,10 +1091,10 @@ fn pending_for(request: &Request, task: ServeTask) -> bool {
 /// supervisor schedules its respawn. The worker thread itself — and every
 /// other replica it holds — keeps serving.
 ///
-/// Zero-alloc zone (see `analysis.toml`): a single-sample answer is
-/// written inline into the reply slot and the request's rows are handed
-/// back to the client; only a window's prediction list is built, by
-/// [`window_predictions`].
+/// Zero-alloc zone (see `analysis.toml`): a single-sample answer is one
+/// [`Prediction`], logits inline, moved into the reply slot, and the
+/// request's rows are handed back to the client; the only allocation is a
+/// window's prediction list, built by [`window_predictions`].
 fn serve_batch(
     shared: &Shared,
     worker_idx: usize,
@@ -1157,9 +1205,16 @@ fn serve_batch(
                 .unwrap_or_default();
             offset += n;
             let reply = match request.payload {
-                Payload::One(_) => InlineLogits::new(out)
-                    .map_or_else(|| Reply::Many(window_predictions(out, classes)), Reply::One),
-                Payload::Window(_) => Reply::Many(window_predictions(out, classes)),
+                Payload::One(_) => Prediction::from_row(out).map(Reply::One),
+                Payload::Window(_) => window_predictions(out, classes).map(Reply::Many),
+            };
+            // Start and swap refuse models wider than a `Prediction` holds.
+            let Some(reply) = reply else {
+                request.reply.fail(ServeError::TooManyClasses {
+                    max: MAX_CLASSES,
+                    got: classes,
+                });
+                continue;
             };
             let latency = request.submitted.elapsed();
             let queue_wait = dispatched.duration_since(request.submitted);
@@ -1189,18 +1244,20 @@ fn serve_batch(
     }
 }
 
-/// The predictions of a window answer (`classes` logits per sample): the
-/// one allocation a successful answer makes on the worker, kept outside
-/// the zero-alloc zone on purpose — building it on the client would put it
-/// on the submitting thread, the serial stage of window traffic.
-fn window_predictions(logits: &[f32], classes: usize) -> Vec<Prediction> {
-    logits
-        .chunks_exact(classes)
-        .map(|row| Prediction {
-            class: rbnn_tensor::argmax(row),
-            logits: row.to_vec(),
-        })
-        .collect()
+/// The predictions of a window answer (`classes` logits per sample), or
+/// `None` when `classes` exceeds [`MAX_CLASSES`]. The list is the one
+/// allocation a window answer makes on the worker (each prediction holds
+/// its logits inline); it stays outside the zero-alloc zone on purpose —
+/// building it on the client would put it on the submitting thread, the
+/// serial stage of window traffic.
+fn window_predictions(logits: &[f32], classes: usize) -> Option<Vec<Prediction>> {
+    // Sized up front: collecting into `Option<Vec<_>>` sees no length
+    // hint and would grow the list several times.
+    let mut predictions = Vec::with_capacity(logits.len() / classes);
+    for row in logits.chunks_exact(classes) {
+        predictions.push(Prediction::from_row(row)?);
+    }
+    Some(predictions)
 }
 
 /// Smallest batch capacity an execution plan is compiled for: batches grow

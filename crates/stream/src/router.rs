@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 
 use rbnn_data::stream::SignalSource;
 use rbnn_serve::{
-    PendingWindow, Prediction, Priority, RetryPolicy, ServeError, SubmitOptions, TaskClient,
+    Logits, PendingWindow, Prediction, Priority, RetryPolicy, ServeError, SubmitOptions, TaskClient,
 };
 use rbnn_telemetry::{Counter, Gauge};
 
@@ -96,9 +96,9 @@ pub enum WindowOutcome {
     Classified {
         /// Predicted class.
         class: usize,
-        /// Raw logits (bitwise-equal to offline batch classification of
-        /// the same window on the software backend).
-        logits: Vec<f32>,
+        /// Raw logits, held inline (bitwise-equal to offline batch
+        /// classification of the same window on the software backend).
+        logits: Logits,
     },
     /// The window could not be classified inside the retry budget; the
     /// error is the *last* failure observed.
@@ -141,7 +141,7 @@ impl Verdict {
     /// Raw logits, when classified.
     pub fn logits(&self) -> Option<&[f32]> {
         match &self.outcome {
-            WindowOutcome::Classified { logits, .. } => Some(logits),
+            WindowOutcome::Classified { logits, .. } => Some(logits.as_slice()),
             WindowOutcome::Failed(_) => None,
         }
     }

@@ -4,7 +4,8 @@
 //! overload, requests still outstanding at shutdown, and mixed-task
 //! batches the worker regroups by task in place — plus the typed
 //! errors of the one submit primitive (expired deadline, a window with
-//! one bad row, an unregistered task).
+//! one bad row, an unregistered task) and the class-count limit of a
+//! served model (`MAX_CLASSES`), on start and on hot swap.
 //!
 //! Small model (the deployed ECG shape, 408→75→2) so the whole file runs
 //! in well under two seconds in a debug build.
@@ -18,8 +19,8 @@ use rand::{Rng, SeedableRng};
 use rbnn_binary::BinaryNetwork;
 use rbnn_rram::EngineConfig;
 use rbnn_serve::{
-    demo_network, AdmissionPolicy, BatchPolicy, ModelRegistry, Pending, PendingWindow, Prediction,
-    ServeConfig, ServeError, ServeTask, Server, SubmitOptions,
+    demo_network, AdmissionPolicy, BatchPolicy, ModelEntry, ModelRegistry, Pending, PendingWindow,
+    Prediction, ServeConfig, ServeError, ServeTask, Server, SubmitOptions, MAX_CLASSES,
 };
 
 const DIMS: [usize; 3] = [408, 75, 2];
@@ -384,4 +385,65 @@ fn mixed_task_batches_regroup_in_row_order_and_expire_in_place() {
         "pipelined mixed traffic must merge, mean batch {:.2}",
         snap.mean_batch
     );
+}
+
+/// A single-task registry serving `net` for ECG.
+fn registry_of(net: &BinaryNetwork) -> ModelRegistry {
+    let mut registry = ModelRegistry::new();
+    registry.insert(ServeTask::Ecg, net.clone(), EngineConfig::test_chip(5));
+    registry
+}
+
+#[test]
+fn widest_servable_model_serves_bitwise_and_a_wider_swap_is_refused() {
+    const WIDTH: usize = 96;
+    let widest = demo_network(&[WIDTH, 32, MAX_CLASSES], 61);
+    let server = Server::start(
+        &registry_of(&widest),
+        &ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        },
+    );
+    let handle = server.handle();
+    let client = handle.client(ServeTask::Ecg).expect("registered");
+    let mut rng = StdRng::seed_from_u64(61);
+    let window = rows_of(WIDTH, 9, &mut rng);
+    for row in &window {
+        let served = client.classify(row.clone()).expect("served");
+        assert_eq!(served.logits.len(), MAX_CLASSES);
+        assert_matches(&widest, row, &served);
+    }
+    let served = client
+        .enqueue_shared(Arc::new(window.clone()))
+        .and_then(PendingWindow::wait)
+        .expect("served window");
+    assert_eq!(served.len(), window.len());
+    for (row, prediction) in window.iter().zip(&served) {
+        assert_matches(&widest, row, prediction);
+    }
+
+    // One class too many: the swap is refused with a typed error and the
+    // deployed model keeps serving.
+    let wider = ModelEntry {
+        network: demo_network(&[WIDTH, 32, MAX_CLASSES + 1], 62),
+        engine_config: EngineConfig::test_chip(6),
+    };
+    let refused = Err(ServeError::TooManyClasses {
+        max: MAX_CLASSES,
+        got: MAX_CLASSES + 1,
+    });
+    assert_eq!(handle.swap_model(ServeTask::Ecg, wider.clone()), refused);
+    assert_eq!(server.swap_model(ServeTask::Ecg, wider), refused);
+    let served = client.classify(window[0].clone()).expect("still served");
+    assert_matches(&widest, &window[0], &served);
+    let snap = server.shutdown();
+    assert_eq!(snap.completed, window.len() as u64 + 2);
+}
+
+#[test]
+#[should_panic(expected = "at most 16")]
+fn start_refuses_a_model_wider_than_max_classes() {
+    let wider = demo_network(&[32, 8, MAX_CLASSES + 1], 63);
+    let _server = Server::start(&registry_of(&wider), &ServeConfig::default());
 }
