@@ -33,10 +33,15 @@
 //!   ([`pop_linger`](BoundedQueue::pop_linger)). A lingerer names how many
 //!   items it still wants and sleeps until that many are queued, its
 //!   deadline passes, or the queue closes; arrivals below the threshold do
-//!   not wake it. The queue keeps the smallest want of the lingerers
-//!   present, reset when the last one leaves, so it may be lower than any
-//!   current want: that costs a spurious wake, never a missed one, and
-//!   every lingerer wakes by its own deadline at the latest.
+//!   not wake it. The wake is edge-triggered: every lingerer registers its
+//!   want just before each sleep, the queue keeps the smallest registered
+//!   want, and the push that reaches it clears the registration before it
+//!   wakes the lingerers. Each registered want so yields at most one wake.
+//!   A lingerer woken short of its own want (another lingerer's smaller
+//!   want was reached) re-registers and sleeps again, so later arrivals
+//!   below its want do not wake it either. No wake is missed: a lingerer
+//!   checks the queue length under the lock before every sleep, and every
+//!   lingerer wakes by its own deadline at the latest.
 //!
 //! `close` wakes everyone.
 
@@ -77,12 +82,14 @@ struct Inner<T> {
     ready_waiters: usize,
     /// Producers sleeping on `space`.
     space_waiters: usize,
-    /// Batchers sleeping on `linger`.
+    /// Batchers inside [`BoundedQueue::pop_linger`].
     lingerers: usize,
-    /// Queue length at which a lingerer must be woken: the smallest want
-    /// among the lingerers since `lingerers` was last zero (`usize::MAX`
-    /// when none).
+    /// Queue length at which the lingerers must be woken: the smallest want
+    /// registered since the last linger wake (`usize::MAX` when none).
     linger_want: usize,
+    /// Linger wakes issued by pushes (not by `close`).
+    #[cfg(test)]
+    linger_notifies: usize,
 }
 
 impl<T> Inner<T> {
@@ -137,6 +144,8 @@ impl<T> BoundedQueue<T> {
                 space_waiters: 0,
                 lingerers: 0,
                 linger_want: usize::MAX,
+                #[cfg(test)]
+                linger_notifies: 0,
             }),
             capacity,
             space: Condvar::new(),
@@ -234,7 +243,8 @@ impl<T> BoundedQueue<T> {
 
     /// Appends `item` to `lane` and wakes the consumers it may satisfy:
     /// one sleeping on `ready`, and every lingerer once the queue reaches
-    /// the smallest recorded want.
+    /// the smallest registered want — which this wake consumes, so the
+    /// pushes after it wake no one until a lingerer registers again.
     fn enqueue_locked(&self, inner: &mut Inner<T>, item: T, lane: Lane) {
         match lane {
             Lane::Urgent => inner.urgent.push_back(item),
@@ -244,6 +254,11 @@ impl<T> BoundedQueue<T> {
             self.ready.notify_one();
         }
         if inner.lingerers > 0 && inner.len() >= inner.linger_want {
+            inner.linger_want = usize::MAX;
+            #[cfg(test)]
+            {
+                inner.linger_notifies += 1;
+            }
             self.linger.notify_all();
         }
     }
@@ -306,11 +321,14 @@ impl<T> BoundedQueue<T> {
     /// to `out`, urgent lane first. Appends nothing when the deadline
     /// passes with nothing queued, and returns `false` only after close
     /// with an empty queue.
+    ///
+    /// The want is registered before every sleep, not once on entry: the
+    /// push that reaches the registered want clears it, so a lingerer
+    /// woken short of its own want must re-arm.
     pub fn pop_linger(&self, want: usize, deadline: Instant, out: &mut Vec<T>) -> bool {
         let want = want.max(1);
         let mut inner = self.lock_inner();
         inner.lingerers += 1;
-        inner.linger_want = inner.linger_want.min(want);
         loop {
             if inner.len() >= want || inner.closed {
                 break;
@@ -319,6 +337,7 @@ impl<T> BoundedQueue<T> {
             if now >= deadline {
                 break;
             }
+            inner.linger_want = inner.linger_want.min(want);
             let (guard, _) = self
                 .linger
                 .wait_timeout(inner, deadline - now)
@@ -632,9 +651,9 @@ mod tests {
         q.push(0u32).unwrap();
         q.push(1).unwrap();
         assert_eq!(join_within(small, Duration::from_secs(5)), Some(vec![0, 1]));
-        // The remaining lingerer now sees spurious wakes on every push
-        // (the recorded want stays at 2) and sleeps through them until
-        // its own count is queued.
+        // The remaining lingerer was woken with the small one, found two
+        // of its five and re-registered its own want: arrivals below it
+        // leave it asleep until its own count is queued.
         for i in 2..6 {
             q.push(i).unwrap();
         }
@@ -645,6 +664,41 @@ mod tests {
             join_within(large, Duration::from_secs(5)),
             Some(vec![2, 3, 4, 5, 6])
         );
+    }
+
+    #[test]
+    fn each_registered_want_wakes_the_lingerers_at_most_once() {
+        let q = Arc::new(BoundedQueue::new(64));
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let qa = Arc::clone(&q);
+        let small = thread::spawn(move || qa.pop_linger_vec(2, deadline));
+        await_lingerers(&q, 1);
+        let qb = Arc::clone(&q);
+        let large = thread::spawn(move || qb.pop_linger_vec(50, deadline));
+        await_lingerers(&q, 2);
+        q.push(0u32).unwrap();
+        q.push(1).unwrap();
+        assert_eq!(join_within(small, Duration::from_secs(5)), Some(vec![0, 1]));
+        // Forty arrivals while the large lingerer waits for fifty: none of
+        // them reaches its want, so none wakes it.
+        for i in 2..42 {
+            q.push(i).unwrap();
+        }
+        thread::sleep(Duration::from_millis(30));
+        assert!(!large.is_finished(), "forty of fifty wanted items");
+        assert!(
+            q.lock_inner().linger_notifies <= 1,
+            "only the small want's push woke the lingerers"
+        );
+        for i in 42..52 {
+            q.push(i).unwrap();
+        }
+        assert_eq!(
+            join_within(large, Duration::from_secs(5)),
+            Some((2..52).collect())
+        );
+        let notifies = q.lock_inner().linger_notifies;
+        assert!(notifies <= 2, "{notifies} linger wakes for two wants");
     }
 
     #[test]

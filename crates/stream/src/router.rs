@@ -482,10 +482,7 @@ fn drain_ready(
     run_started: Instant,
 ) -> Result<bool, ServeError> {
     let mut any = false;
-    loop {
-        let Some(front) = p.in_flight.front() else {
-            break;
-        };
+    while let Some(front) = p.in_flight.front() {
         let Some(result) = front.pending.poll() else {
             break;
         };
