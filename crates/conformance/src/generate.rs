@@ -41,9 +41,9 @@ pub enum ShapeFamily {
     /// Small 2-D convolutional front end (the §IV vision workload).
     Vision,
     /// Deep pure-MLP chain whose widths walk the full 63/64/65/127/128
-    /// packed-word edge set, so *every* fusion boundary of the op-graph
-    /// executor (pack → xnor/popcount → threshold → sign-pack) sits on a
-    /// word edge in some layer.
+    /// packed-word edge set, so *every* fused step of a compiled plan
+    /// (pack → xnor/popcount → threshold → sign-pack) sits on a word edge
+    /// in some layer.
     Chain,
     /// 1-channel, odd-length conv front end feeding an edge-width chain —
     /// the other regime the fused kernels must survive: a conv-derived
@@ -405,7 +405,7 @@ mod tests {
     fn chain_families_walk_every_fusion_boundary_width() {
         // Index 4 (mod 6) is the deep edge-width chain: every width of the
         // 63/64/65/127/128 walk must appear as some layer's input width,
-        // i.e. at some fusion boundary of the lowered op graph.
+        // i.e. at the source of some fused step of the compiled plan.
         let m = generate(4, 1);
         assert_eq!(m.family, ShapeFamily::Chain);
         let widths: Vec<usize> = m.network.layers().iter().map(|l| l.in_features()).collect();

@@ -7,7 +7,7 @@
 //! 2. **binary single** — [`rbnn_binary::BinaryNetwork::logits`] per
 //!    sample (the integer XNOR/popcount datapath): the scalar oracle every
 //!    other binary path is held to;
-//! 3. **plan** — a compiled op-graph [`rbnn_graph::ExecPlan`] replayed
+//! 3. **plan** — a compiled [`rbnn_graph::ExecPlan`] replayed
 //!    through the fused packed-word kernels (the workspace's one batched
 //!    path), in software and on the RRAM fabric;
 //! 4. **RRAM single** — [`rbnn_rram::NetworkEngine::logits`] sensing one
@@ -176,7 +176,7 @@ pub fn check_model(model: &mut GeneratedModel, cfg: &OracleConfig) -> OracleRepo
 
     let single_preds: Vec<usize> = single_logits.chunks(classes).map(argmax).collect();
 
-    // Path 3: compiled op-graph execution plan through the fused kernels —
+    // Path 3: compiled execution plan through the fused kernels —
     // full batch, then a smaller batch into the same dirty buffers (the
     // serve replay pattern).
     let row_refs: Vec<&[f32]> = (0..n)

@@ -1,9 +1,9 @@
 //! Static execution plans: compile once, replay with zero allocation.
 //!
-//! [`ExecPlan::compile`] runs the whole pipeline — lower, fuse, plan — for
-//! one `(model, max_batch)` pair and freezes the result: fused steps with
-//! resolved arena regions, folded thresholds, and affine parameters. A
-//! worker then replays the plan for any batch of up to `max_batch` rows via
+//! [`ExecPlan::compile`] walks one `(model, max_batch)` pair's layer chain
+//! and freezes the result: fused steps with resolved arena regions, folded
+//! thresholds, and affine parameters. A worker then replays the plan for
+//! any batch of up to `max_batch` rows via
 //! [`ExecPlan::replay_rows`], which touches only caller-provided storage
 //! ([`PlanBuffers`] and the output slice). The replay functions in this
 //! module form an `analysis.toml` zero-alloc zone (RA0005): no heap
@@ -18,9 +18,6 @@
 //! the same `scale · (2p − n) + shift` float expression evaluated in the
 //! same per-sample, ascending-neuron order.
 
-use crate::fuse::{fuse, FusedOp};
-use crate::graph::lower;
-use crate::plan::{plan_arena, BufferRequest};
 use rbnn_binary::{BinaryNetwork, FoldedThreshold};
 use rbnn_tensor::{pack_signs_into, InterleavedRows, RowThresholds};
 
@@ -59,10 +56,12 @@ impl Region {
 
 /// One compiled step of an [`ExecPlan`].
 ///
-/// The variants mirror [`FusedOp`](crate::FusedOp) with buffer indices
-/// resolved to arena [`Region`]s and per-layer parameters (folded
-/// thresholds, affine scale/shift) frozen at compile time so replay never
-/// recomputes them.
+/// A plan is `Pack`, then one `FusedHidden` per hidden layer, then
+/// `FusedLogits` — the paper's chain of XNOR-popcount-threshold layers,
+/// with packed sign bits flowing from one step to the next. Each step
+/// names its arena [`Region`]s and carries its per-layer parameters
+/// (folded thresholds, affine scale/shift) frozen at compile time so
+/// replay never recomputes them.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Step {
     /// Binarize + pack the float input rows into `dst`.
@@ -74,7 +73,7 @@ pub enum Step {
     /// kernel dispatch from `src` to `dst` for the whole batch with no
     /// materialized count matrix.
     FusedHidden {
-        /// Layer index into the plan's network.
+        /// Index of the layer in the compiled network's `layers()`.
         layer: usize,
         /// Input activation region.
         src: Region,
@@ -93,7 +92,7 @@ pub enum Step {
     /// Fused output layer: XNOR-popcount → affine logits straight into the
     /// caller's output slice.
     FusedLogits {
-        /// Layer index into the plan's network.
+        /// Index of the layer in the compiled network's `layers()`.
         layer: usize,
         /// Input activation region.
         src: Region,
@@ -132,17 +131,15 @@ impl PlanBuffers {
 
 /// A static execution plan for one `(model, max_batch)` pair.
 ///
-/// Compiling is the expensive, allocating part (lowering, fusion, lifetime
-/// planning, threshold folding); replaying is allocation-free and valid for
-/// any batch of `1..=max_batch` rows — region offsets computed for
+/// Compiling is the expensive, allocating part (threshold folding, weight
+/// interleaving); replaying is allocation-free and valid for any batch of
+/// `1..=max_batch` rows — region offsets computed for
 /// `max_batch` rows remain correct for smaller batches because rows are
 /// packed from each region's start.
 #[derive(Debug, Clone)]
 pub struct ExecPlan {
-    network: BinaryNetwork,
     steps: Vec<Step>,
     arena_words: usize,
-    naive_words: usize,
     counts_len: usize,
     max_batch: usize,
     in_features: usize,
@@ -150,96 +147,82 @@ pub struct ExecPlan {
 }
 
 impl ExecPlan {
-    /// Compiles a plan: lowers the network, fuses the stage chains, plans
-    /// buffer lifetimes into a coalescing arena, and folds every hidden
-    /// layer's BatchNorm thresholds.
+    /// Compiles a plan: walks the layer chain once, emitting `Pack`, one
+    /// `FusedHidden` per hidden layer and a final `FusedLogits`, folds
+    /// every hidden layer's BatchNorm thresholds, and lays the packed
+    /// activation buffers out in two alternating arena slots.
+    ///
+    /// Activation buffer `k` (the packed input is buffer 0, hidden layer
+    /// `k − 1`'s output is buffer `k`) lives at offset 0 when `k` is even
+    /// and right after the widest even buffer when `k` is odd: a fused
+    /// step reads buffer `k` and writes buffer `k + 1`, so its source and
+    /// destination are always in different slots, and no other buffer is
+    /// live while it runs.
     ///
     /// # Panics
     ///
     /// Panics if `max_batch == 0`.
     pub fn compile(network: &BinaryNetwork, max_batch: usize) -> Self {
         assert!(max_batch > 0, "a plan must admit at least one row");
-        let fused = fuse(&lower(network));
-        let widths = fused.buffer_widths();
+        let layers = network.layers();
+        let (output, hidden) = layers
+            .split_last()
+            .expect("a network has at least one layer");
 
-        // Buffer lifetimes: defined by the step whose `dst` names them,
-        // last read by the latest step whose `src` does.
-        let mut requests: Vec<BufferRequest> = widths
-            .iter()
-            .map(|&w| BufferRequest {
-                def: 0,
-                last_use: 0,
-                words: max_batch * words_for(w),
-            })
+        // Buffer k's width: the packed input, then each hidden layer's output.
+        let widths: Vec<usize> = std::iter::once(network.in_features())
+            .chain(hidden.iter().map(|l| l.out_features()))
             .collect();
-        for (s, step) in fused.steps().iter().enumerate() {
-            if step.dst != usize::MAX {
-                requests[step.dst].def = s;
-                requests[step.dst].last_use = requests[step.dst].last_use.max(s);
-            }
-            if step.src != usize::MAX {
-                requests[step.src].last_use = requests[step.src].last_use.max(s);
-            }
-        }
-        let plan = plan_arena(&requests);
-        let region = |b: usize| Region {
-            offset: plan.offsets[b],
-            words_per_row: words_for(widths[b]),
-            width: widths[b],
+        let slot_words = |parity: usize| {
+            widths
+                .iter()
+                .skip(parity)
+                .step_by(2)
+                .map(|&w| max_batch * words_for(w))
+                .max()
+                .unwrap_or(0)
+        };
+        let odd_offset = slot_words(0);
+        let region = |k: usize| Region {
+            offset: if k.is_multiple_of(2) { 0 } else { odd_offset },
+            words_per_row: words_for(widths[k]),
+            width: widths[k],
         };
 
-        let layers = fused.network().layers();
-        let steps: Vec<Step> = fused
-            .steps()
-            .iter()
-            .map(|step| match step.op {
-                FusedOp::Pack => Step::Pack {
-                    dst: region(step.dst),
-                },
-                FusedOp::FusedHidden { layer } => {
-                    let thresholds = layers[layer].folded_thresholds();
-                    let weights = InterleavedRows::from_matrix(layers[layer].weights());
-                    let kernel_thresholds = weights
-                        .fold_thresholds(thresholds.iter().map(|t| (t.min_popcount, t.negate)));
-                    Step::FusedHidden {
-                        layer,
-                        src: region(step.src),
-                        dst: region(step.dst),
-                        thresholds,
-                        kernel_thresholds,
-                        weights,
-                    }
-                }
-                FusedOp::FusedLogits { layer } => {
-                    let (scale, shift) = layers[layer].affine();
-                    Step::FusedLogits {
-                        layer,
-                        src: region(step.src),
-                        scale: scale.to_vec(),
-                        shift: shift.to_vec(),
-                        weights: InterleavedRows::from_matrix(layers[layer].weights()),
-                    }
-                }
-            })
-            .collect();
-        let counts_len = steps
-            .iter()
-            .map(|s| match s {
-                Step::FusedLogits { weights, .. } => weights.padded_rows(),
-                _ => 0,
-            })
-            .max()
-            .unwrap_or(0);
+        let mut steps = Vec::with_capacity(layers.len() + 1);
+        steps.push(Step::Pack { dst: region(0) });
+        for (layer, dense) in hidden.iter().enumerate() {
+            let thresholds = dense.folded_thresholds();
+            let weights = InterleavedRows::from_matrix(dense.weights());
+            let kernel_thresholds =
+                weights.fold_thresholds(thresholds.iter().map(|t| (t.min_popcount, t.negate)));
+            steps.push(Step::FusedHidden {
+                layer,
+                src: region(layer),
+                dst: region(layer + 1),
+                thresholds,
+                kernel_thresholds,
+                weights,
+            });
+        }
+        let (scale, shift) = output.affine();
+        let weights = InterleavedRows::from_matrix(output.weights());
+        let counts_len = weights.padded_rows();
+        steps.push(Step::FusedLogits {
+            layer: hidden.len(),
+            src: region(hidden.len()),
+            scale: scale.to_vec(),
+            shift: shift.to_vec(),
+            weights,
+        });
 
         Self {
             steps,
-            arena_words: plan.total_words,
-            naive_words: requests.iter().map(|r| r.words).sum(),
+            arena_words: odd_offset + slot_words(1),
             counts_len,
             max_batch,
             in_features: network.in_features(),
             out_features: network.out_features(),
-            network: fused.network().clone(),
         }
     }
 
@@ -258,20 +241,9 @@ impl ExecPlan {
         &self.steps
     }
 
-    /// The network the plan was compiled from.
-    pub fn network(&self) -> &BinaryNetwork {
-        &self.network
-    }
-
     /// Planned arena size in words (peak plan memory).
     pub fn arena_words(&self) -> usize {
         self.arena_words
-    }
-
-    /// What naive per-op allocation of every packed buffer would cost, in
-    /// words — the planner's upper bound.
-    pub fn naive_words(&self) -> usize {
-        self.naive_words
     }
 
     /// Largest batch the plan can replay.
@@ -429,9 +401,9 @@ pub fn threshold_pack_row(thresholds: &[FoldedThreshold], counts: &[u32], dst: &
 }
 
 /// Splits the arena into this step's source (shared) and destination
-/// (mutable) rows. The planner guarantees the regions are disjoint — a
-/// reader and writer of the same step are simultaneously live — so the
-/// split is a pure reborrow.
+/// (mutable) rows. Compile puts a step's source and destination in
+/// different arena slots, so the regions are disjoint and the split is a
+/// pure reborrow.
 fn split_src_dst<'a>(
     arena: &'a mut [u64],
     src: &Region,
@@ -446,7 +418,7 @@ fn split_src_dst<'a>(
     } else {
         assert!(
             dst.offset + d_len <= src.offset,
-            "planner produced aliasing src/dst regions"
+            "plan produced aliasing src/dst regions"
         );
         let (lo, hi) = arena.split_at_mut(src.offset);
         (&hi[..s_len], &mut lo[dst.offset..dst.offset + d_len])
@@ -528,6 +500,15 @@ mod tests {
             vec![128, 127, 4],
             vec![33, 17, 2],
             vec![1, 1, 2],
+            // Degenerate shapes: a single layer (Pack → FusedLogits, one
+            // buffer), one output class, width-1 layers, and 63/64/65 at
+            // every layer.
+            vec![65, 3],
+            vec![1, 1],
+            vec![64, 65, 1],
+            vec![1, 1, 1, 1],
+            vec![63, 64, 65, 63],
+            vec![65, 63, 64, 65],
         ]
         .iter()
         .enumerate()
@@ -597,8 +578,77 @@ mod tests {
         let net = random_net(&[128, 128, 128, 128, 128, 2], 0xFADE);
         let plan = ExecPlan::compile(&net, 64);
         // Five packed buffers, but only two are ever live at once.
-        assert!(plan.arena_words() < plan.naive_words());
         assert_eq!(plan.arena_words(), 2 * 64 * 2);
+    }
+
+    /// Every region a step names, as `(offset, words)` for `max_batch` rows.
+    fn step_regions(step: &Step, max_batch: usize) -> Vec<(usize, usize)> {
+        let span = |r: &Region| (r.offset, max_batch * r.words_per_row);
+        match step {
+            Step::Pack { dst } => vec![span(dst)],
+            Step::FusedHidden { src, dst, .. } => vec![span(src), span(dst)],
+            Step::FusedLogits { src, .. } => vec![span(src)],
+        }
+    }
+
+    #[test]
+    fn random_chains_lay_out_disjoint_in_bounds_regions() {
+        const WIDTHS: [usize; 6] = [1, 63, 64, 65, 127, 128];
+        let mut rng = StdRng::seed_from_u64(0x51075);
+        for _ in 0..60 {
+            let depth = rng.gen_range(1..7);
+            let dims: Vec<usize> = (0..=depth)
+                .map(|_| WIDTHS[rng.gen_range(0..WIDTHS.len())])
+                .collect();
+            let net = random_net(&dims, rng.gen_range(0..u64::MAX));
+            for max_batch in [1usize, 3, 17, 64] {
+                let plan = ExecPlan::compile(&net, max_batch);
+                let steps = plan.steps();
+                assert_eq!(steps.len(), depth + 1, "dims {dims:?}");
+                assert!(matches!(steps[0], Step::Pack { .. }));
+                assert!(matches!(steps[depth], Step::FusedLogits { .. }));
+
+                let mut buffer_words = 0;
+                for step in steps {
+                    let regions = step_regions(step, max_batch);
+                    for &(offset, words) in &regions {
+                        assert!(
+                            offset + words <= plan.arena_words(),
+                            "region outside the arena on dims {dims:?} at batch {max_batch}"
+                        );
+                    }
+                    if let [(so, sw), (d_o, dw)] = regions[..] {
+                        assert!(
+                            so + sw <= d_o || d_o + dw <= so,
+                            "src/dst alias on dims {dims:?} at batch {max_batch}"
+                        );
+                    }
+                    // Each buffer is written by exactly one step.
+                    if !matches!(step, Step::FusedLogits { .. }) {
+                        buffer_words += regions.last().unwrap().1;
+                    }
+                }
+                assert!(
+                    plan.arena_words() <= buffer_words,
+                    "arena exceeds the sum of its regions on dims {dims:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn deployed_ecg_model_keeps_its_arena_layout() {
+        let net = random_net(&[408, 75, 2], 0xEC6);
+        let plan = ExecPlan::compile(&net, 64);
+        let steps = plan.steps();
+        assert!(matches!(steps[0], Step::Pack { .. }));
+        assert!(matches!(steps[1], Step::FusedHidden { .. }));
+        assert!(matches!(steps[2], Step::FusedLogits { .. }));
+        // 408 bits = 7 words and 75 bits = 2 words per row, 64 rows each.
+        assert_eq!(step_regions(&steps[0], 64), [(0, 448)]);
+        assert_eq!(step_regions(&steps[1], 64), [(0, 448), (448, 128)]);
+        assert_eq!(step_regions(&steps[2], 64), [(448, 128)]);
+        assert_eq!(plan.arena_words(), 576);
     }
 
     #[test]

@@ -1,30 +1,24 @@
 //! # rbnn-graph
 //!
-//! Op-graph executor for deployed binarized networks: lowers a
-//! [`BinaryNetwork`](rbnn_binary::BinaryNetwork) (or a trained `rbnn-nn`
-//! classifier) into an explicit op graph, fuses each
-//! binarize→XNOR-popcount→threshold→sign chain into a single packed-word
-//! kernel, plans buffer reuse from exact tensor lifetimes, and compiles the
-//! result into a static [`ExecPlan`] that serving workers replay with zero
+//! Static execution plans for deployed binarized networks: compiles a
+//! [`BinaryNetwork`](rbnn_binary::BinaryNetwork) straight from its layer
+//! chain into an [`ExecPlan`] that serving workers replay with zero
 //! per-request planning or allocation.
 //!
-//! The pipeline has four stages, each independently testable:
+//! A plan has two stages:
 //!
-//! 1. **Lowering** ([`lower`] / [`lower_sequential`]) — the model becomes an
-//!    explicit [`OpGraph`] of primitive ops (`PackInput`, `XnorPopcount`,
-//!    `Threshold`, `SignPack`, `Affine`) over typed values, exactly the
-//!    stages the single-sample `BinaryNetwork::logits` walk computes.
-//! 2. **Fusion** ([`fuse`]) — adjacent `XnorPopcount → Threshold → SignPack`
-//!    runs collapse into one [`FusedOp::FusedHidden`] and the final
-//!    `XnorPopcount → Affine` into [`FusedOp::FusedLogits`]; after fusion the
-//!    only materialized values are bit-packed activation matrices. This is
-//!    the software analogue of the paper's in-memory datapath: one pass over
-//!    packed words, no intermediate count/flag tensors written back.
-//! 3. **Lifetime planning** ([`plan_arena`]) — every surviving buffer gets a
-//!    `[first-def, last-use]` interval and a best-fit offset in a single
-//!    coalescing word arena, so buffers with disjoint lifetimes share
-//!    storage and peak plan memory never exceeds naive per-op allocation.
-//! 4. **Replay** ([`ExecPlan::replay_rows`]) — a compiled `(model,
+//! 1. **Compile** ([`ExecPlan::compile`]) — one walk of `layers()` emits a
+//!    [`Step::Pack`] of the float input, one [`Step::FusedHidden`]
+//!    (XNOR-popcount → folded threshold → sign-pack, one packed-word
+//!    kernel, no materialized counts) per hidden layer, and a final
+//!    [`Step::FusedLogits`] (XNOR-popcount → affine). The only
+//!    materialized values are bit-packed activation matrices — the
+//!    software analogue of the paper's in-memory datapath, where arrays
+//!    sense, thresholds fire in the periphery and packed words flow to the
+//!    next array group. Exactly two of those matrices are live at any
+//!    step, so they alternate between two arena slots: even buffers at
+//!    offset 0, odd buffers right after the widest even one.
+//! 2. **Replay** ([`ExecPlan::replay_rows`]) — a compiled `(model,
 //!    max_batch)` plan streams packed words through the runtime-dispatched
 //!    `rbnn-tensor` kernels into caller-provided buffers. The replay path is
 //!    a zero-alloc zone enforced by `analysis.toml` (RA0005).
@@ -36,8 +30,8 @@
 //! replay it in chunks.
 //!
 //! Bitwise parity with the single-sample scalar oracle
-//! (`BinaryNetwork::logits`) is by construction — fusion changes loop order
-//! and materialization, never arithmetic — and is locked by the
+//! (`BinaryNetwork::logits`) is by construction — the fused kernels change
+//! loop order and materialization, never arithmetic — and is locked by the
 //! conformance oracle's plan path (`plan_bitwise`), which replays every
 //! generated model through an `ExecPlan` and requires bit-for-bit equality
 //! with the oracle.
@@ -64,12 +58,6 @@
 
 mod batch;
 mod exec;
-mod fuse;
-mod graph;
-mod plan;
 
 pub use batch::{accuracy, classify_batch, logits_batch, logits_rows};
 pub use exec::{pack_rows, threshold_pack_row, ExecPlan, PlanBuffers, Region, Step};
-pub use fuse::{fuse, FusedGraph, FusedOp, FusedStep};
-pub use graph::{lower, lower_sequential, Node, Op, OpGraph, ValueInfo, ValueKind};
-pub use plan::{plan_arena, ArenaPlan, BufferRequest};

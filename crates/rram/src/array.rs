@@ -370,7 +370,7 @@ mod tests {
     fn checkerboard(rows: usize, cols: usize) -> BitMatrix {
         let vals: Vec<f32> = (0..rows * cols)
             .map(|i| {
-                if (i / cols + i % cols) % 2 == 0 {
+                if (i / cols + i % cols).is_multiple_of(2) {
                     1.0
                 } else {
                     -1.0

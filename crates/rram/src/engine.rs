@@ -333,9 +333,8 @@ impl DenseEngine {
                 for (ct, array) in tile_row.iter_mut().enumerate() {
                     let cols_used = (in_features - ct * tile_cols).min(tile_cols);
                     for r in 0..rows_used {
-                        for (sample, tile_input) in tile_inputs[ct].iter().enumerate() {
-                            part[sample][r] +=
-                                array.xnor_popcount_row_prefix(r, tile_input, cols_used);
+                        for (counts, tile_input) in part.iter_mut().zip(&tile_inputs[ct]) {
+                            counts[r] += array.xnor_popcount_row_prefix(r, tile_input, cols_used);
                         }
                     }
                 }
@@ -435,7 +434,7 @@ impl NetworkEngine {
         &self.layers
     }
 
-    /// Mutable per-layer engines, for the op-graph plan replay
+    /// Mutable per-layer engines, for the execution-plan replay
     /// (`graph_exec`): sensing mutates device state and RNG streams.
     pub(crate) fn layers_mut(&mut self) -> &mut [DenseEngine] {
         &mut self.layers

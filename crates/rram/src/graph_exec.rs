@@ -1,4 +1,4 @@
-//! Op-graph plan replay on the simulated RRAM fabric.
+//! Execution-plan replay on the simulated RRAM fabric.
 //!
 //! [`NetworkEngine::replay_plan`] walks a compiled
 //! [`ExecPlan`](rbnn_graph::ExecPlan)'s fused steps and maps each onto the
@@ -49,15 +49,21 @@ impl NetworkEngine {
     ) {
         let n = rows.len();
         assert_eq!(
-            self.layers().len(),
-            plan.network().layers().len(),
+            plan.steps().len(),
+            self.layers().len() + 1,
             "plan depth differs from programmed network"
         );
-        assert_eq!(
-            self.layers().first().map(|l| l.in_features()),
-            Some(plan.in_features()),
-            "plan input width differs from programmed network"
-        );
+        for step in plan.steps() {
+            if let Step::FusedHidden { layer, src, .. } | Step::FusedLogits { layer, src, .. } =
+                step
+            {
+                assert_eq!(
+                    src.width,
+                    self.layers()[*layer].in_features(),
+                    "plan layer width differs from programmed network"
+                );
+            }
+        }
         assert!(n <= plan.max_batch(), "batch exceeds plan capacity");
         assert!(
             out.len() >= n * plan.out_features(),
@@ -153,27 +159,66 @@ mod tests {
             .collect()
     }
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn plan_replay_matches_single_sample_engine_walk_on_noise_free_fabric() {
-        let network = net(&[65, 63, 127, 4], 0x11);
-        let cfg = EngineConfig::noise_free(0x5EED);
-        let batch = rows(6, 65, 0x77);
+        for (i, dims) in [
+            vec![65, 63, 127, 4],
+            // Degenerate shapes: a single layer (Pack → FusedLogits, one
+            // buffer), one output class, width-1 layers, and 63/64/65 at
+            // every layer.
+            vec![65, 3],
+            vec![64, 65, 1],
+            vec![1, 1, 1, 1],
+            vec![63, 64, 65, 63],
+            vec![65, 63, 64, 65],
+        ]
+        .iter()
+        .enumerate()
+        {
+            let network = net(dims, 0x11 + i as u64);
+            let cfg = EngineConfig::noise_free(0x5EED);
+            let batch = rows(6, dims[0], 0x77);
+            let refs: Vec<&[f32]> = batch.iter().map(|r| r.as_slice()).collect();
+            let classes = network.out_features();
+            let oracle: Vec<f32> = batch.iter().flat_map(|r| network.logits(r)).collect();
+
+            let mut single_engine = NetworkEngine::program(&network, &cfg);
+            let single: Vec<f32> = batch.iter().flat_map(|r| single_engine.logits(r)).collect();
+
+            let plan = ExecPlan::compile(&network, 8);
+            let mut soft = vec![0.0f32; 6 * classes];
+            plan.replay_rows(&refs, &mut plan.buffers(), &mut soft);
+
+            let mut buffers = plan.buffers();
+            let mut out = vec![0.0f32; 6 * classes];
+            let mut plan_engine = NetworkEngine::program(&network, &cfg);
+            plan_engine.replay_plan(&plan, &refs, &mut buffers, &mut out);
+
+            assert_eq!(bits(&single), bits(&oracle), "engine walk on {dims:?}");
+            assert_eq!(bits(&soft), bits(&oracle), "software replay on {dims:?}");
+            assert_eq!(bits(&out), bits(&oracle), "fabric replay on {dims:?}");
+            // One sense per tile row per sample on both paths.
+            assert_eq!(
+                single_engine.stats().senses,
+                plan_engine.stats().senses,
+                "sense count on {dims:?}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "plan layer width differs from programmed network")]
+    fn plan_of_another_network_is_refused() {
+        let plan = ExecPlan::compile(&net(&[65, 64, 2], 1), 4);
+        let mut engine =
+            NetworkEngine::program(&net(&[65, 63, 2], 1), &EngineConfig::noise_free(1));
+        let batch = rows(1, 65, 2);
         let refs: Vec<&[f32]> = batch.iter().map(|r| r.as_slice()).collect();
-
-        let mut single_engine = NetworkEngine::program(&network, &cfg);
-        let single: Vec<f32> = batch.iter().flat_map(|r| single_engine.logits(r)).collect();
-
-        let plan = ExecPlan::compile(&network, 8);
-        let mut buffers = plan.buffers();
-        let mut out = vec![0.0f32; 6 * 4];
-        let mut plan_engine = NetworkEngine::program(&network, &cfg);
-        plan_engine.replay_plan(&plan, &refs, &mut buffers, &mut out);
-
-        let single_bits: Vec<u32> = single.iter().map(|v| v.to_bits()).collect();
-        let plan_bits: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(plan_bits, single_bits);
-        // One sense per tile row per sample on both paths.
-        assert_eq!(single_engine.stats().senses, plan_engine.stats().senses);
+        engine.replay_plan(&plan, &refs, &mut plan.buffers(), &mut [0.0; 2]);
     }
 
     #[test]
@@ -192,8 +237,6 @@ mod tests {
         let mut hw = vec![0.0f32; 5 * 2];
         engine.replay_plan(&plan, &refs, &mut hw_buf, &mut hw);
 
-        let a: Vec<u32> = soft.iter().map(|v| v.to_bits()).collect();
-        let b: Vec<u32> = hw.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(a, b);
+        assert_eq!(bits(&soft), bits(&hw));
     }
 }

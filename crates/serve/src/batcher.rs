@@ -64,8 +64,16 @@ impl Batcher {
         self.policy.max_delay.mul_f64(self.fill.clamp(0.0, 1.0))
     }
 
-    /// Blocks for the next batch and appends it to `batch`. Returns `false`
-    /// when the queue is closed and fully drained.
+    /// Waits up to `initial_wait` for the next batch and appends it to
+    /// `batch`, with a dequeue observer. Returns `false` when the queue is
+    /// closed and fully drained. When nothing arrives inside the window
+    /// the call appends nothing and returns `true` instead of blocking
+    /// indefinitely. The worker loop uses this as its idle tick — it must
+    /// come back around periodically to heartbeat the supervisor and
+    /// respawn due replicas even when no traffic is flowing. An empty tick
+    /// skips the linger and leaves the fill EWMA untouched (an idle tick
+    /// is not a formed batch and must not drag the adaptive linger toward
+    /// zero).
     ///
     /// The caller owns the batch buffer and reuses it across batches (the
     /// serve worker clears one per-worker `Vec` after each batch), so
@@ -81,24 +89,6 @@ impl Batcher {
     /// arrived; single arrivals do not wake it. When two consecutive
     /// sub-polls time out with the queue still empty, the batch dispatches
     /// early — an idle tail, not a forming batch.
-    pub fn next_batch<T>(&mut self, queue: &BoundedQueue<T>, batch: &mut Vec<T>) -> bool {
-        let start = batch.len();
-        if !queue.pop_up_to(self.policy.max_batch, batch) {
-            return false;
-        }
-        self.linger_and_record(queue, batch, start, |_| {});
-        true
-    }
-
-    /// [`next_batch`](Self::next_batch) whose *initial* wait is bounded by
-    /// `initial_wait`, with a dequeue observer. When nothing arrives
-    /// inside the window the call appends nothing and returns `true`
-    /// instead of blocking indefinitely. The worker loop uses this as its
-    /// idle tick — it must come back around periodically to heartbeat the
-    /// supervisor and respawn due replicas even when no traffic is
-    /// flowing. An empty tick skips the linger and leaves the fill EWMA
-    /// untouched (an idle tick is not a formed batch and must not drag the
-    /// adaptive linger toward zero).
     ///
     /// `on_pop` runs on each newly popped chunk *at the moment it leaves
     /// the queue*, before any further lingering. The serving layer uses it
@@ -125,7 +115,7 @@ impl Batcher {
         true
     }
 
-    /// Shared tail of the batch-formation paths: observe the first chunk
+    /// Tail of batch formation: observe the first chunk
     /// (`batch[start..]`), linger for stragglers on a partial batch, then
     /// fold the final fill ratio into the EWMA.
     fn linger_and_record<T>(
@@ -184,9 +174,9 @@ mod tests {
 
     /// The batch forms into a fresh vector: `None` once closed and drained.
     impl Batcher {
+        /// Blocks for the next batch: an initial wait no test outlasts.
         fn next_vec<T>(&mut self, q: &BoundedQueue<T>) -> Option<Vec<T>> {
-            let mut batch = Vec::new();
-            self.next_batch(q, &mut batch).then_some(batch)
+            self.within_vec(q, Duration::from_secs(60))
         }
 
         fn within_vec<T>(&mut self, q: &BoundedQueue<T>, wait: Duration) -> Option<Vec<T>> {
@@ -375,7 +365,7 @@ mod tests {
             linger_before,
             "an idle tick must not move the fill EWMA"
         );
-        // With items available it forms a batch like next_batch.
+        // With items available it forms a batch like a blocking wait.
         q.push(7).unwrap();
         let batch = b.within_vec(&q, Duration::from_millis(20)).unwrap();
         assert_eq!(batch, vec![7]);

@@ -23,8 +23,7 @@
 //! recorded, so an uncontended push or pop makes no futex syscall:
 //!
 //! * `ready` — consumers blocked on an empty queue
-//!   ([`pop_up_to`](BoundedQueue::pop_up_to),
-//!   [`pop_up_to_deadline`](BoundedQueue::pop_up_to_deadline)); a push
+//!   ([`pop_up_to_deadline`](BoundedQueue::pop_up_to_deadline)); a push
 //!   wakes one of them.
 //! * `space` — producers blocked on a full queue
 //!   ([`push_lane`](BoundedQueue::push_lane)); a pop that frees capacity
@@ -52,7 +51,8 @@ use std::time::Instant;
 /// Why a push was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PushError {
-    /// The queue is at capacity (only from the non-blocking pushes).
+    /// The queue is at capacity (only from the non-blocking
+    /// [`push_shed`](BoundedQueue::push_shed)).
     Full,
     /// The queue has been closed for shutdown.
     Closed,
@@ -202,18 +202,6 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Enqueues on the routine lane without blocking; a full queue is
-    /// reported to the caller instead.
-    pub fn try_push(&self, item: T) -> Result<(), PushError> {
-        match self.push_shed(item, Lane::Routine) {
-            Ok(None) => Ok(()),
-            // Routine pushes never evict, so `Ok(Some(_))` is unreachable;
-            // treat it as accepted-with-eviction defensively.
-            Ok(Some(_)) => Ok(()),
-            Err(e) => Err(e),
-        }
-    }
-
     /// Load-shedding enqueue: never blocks. On success returns
     /// `Ok(None)`, or `Ok(Some(evicted))` when an urgent push displaced
     /// the newest routine item to make room — the caller owns answering
@@ -263,31 +251,10 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Blocks until at least one item is available (or the queue closes),
-    /// then appends up to `max` items to `out`, urgent lane first. Returns
-    /// `false` only after close with an empty queue — the consumer's
-    /// termination signal.
-    pub fn pop_up_to(&self, max: usize, out: &mut Vec<T>) -> bool {
-        let mut inner = self.lock_inner();
-        loop {
-            if inner.len() != 0 {
-                self.drain_locked(&mut inner, max, out);
-                return true;
-            }
-            if inner.closed {
-                return false;
-            }
-            inner.ready_waiters += 1;
-            inner = self
-                .ready
-                .wait(inner)
-                .unwrap_or_else(PoisonError::into_inner);
-            inner.ready_waiters -= 1;
-        }
-    }
-
-    /// Like [`pop_up_to`](Self::pop_up_to) but gives up at `deadline`,
-    /// appending nothing on timeout.
+    /// Waits until at least one item is available, the queue closes, or
+    /// `deadline` passes, then appends up to `max` items to `out`, urgent
+    /// lane first; appends nothing on timeout. Returns `false` only after
+    /// close with an empty queue — the consumer's termination signal.
     pub fn pop_up_to_deadline(&self, max: usize, deadline: Instant, out: &mut Vec<T>) -> bool {
         let mut inner = self.lock_inner();
         loop {
@@ -388,11 +355,16 @@ mod tests {
     use std::thread;
     use std::time::Duration;
 
+    /// A deadline no test outlasts: the deadline pop then blocks like a
+    /// plain one.
+    fn far() -> Instant {
+        Instant::now() + Duration::from_secs(60)
+    }
+
     /// The pops into a fresh vector: `None` once closed and drained.
     impl<T> BoundedQueue<T> {
         fn pop_vec(&self, max: usize) -> Option<Vec<T>> {
-            let mut out = Vec::new();
-            self.pop_up_to(max, &mut out).then_some(out)
+            self.pop_deadline_vec(max, far())
         }
 
         fn pop_deadline_vec(&self, max: usize, deadline: Instant) -> Option<Vec<T>> {
@@ -418,7 +390,7 @@ mod tests {
                 q.push(round * 10 + i).unwrap();
             }
             q.push_lane(99, Lane::Urgent).unwrap();
-            assert!(q.pop_up_to(2, &mut out));
+            assert!(q.pop_up_to_deadline(2, far(), &mut out));
             assert!(q.pop_linger(2, Instant::now(), &mut out));
             assert_eq!(out, vec![99, round * 10, round * 10 + 1, round * 10 + 2]);
             // The rest drains into a second round of the same buffer.
@@ -429,7 +401,10 @@ mod tests {
         }
         q.close();
         out.clear();
-        assert!(!q.pop_up_to(4, &mut out), "closed and drained");
+        assert!(
+            !q.pop_up_to_deadline(4, far(), &mut out),
+            "closed and drained"
+        );
         assert!(out.is_empty());
     }
 
@@ -457,13 +432,13 @@ mod tests {
     }
 
     #[test]
-    fn try_push_reports_full() {
+    fn routine_shed_push_reports_full_until_a_pop_frees_room() {
         let q = BoundedQueue::new(2);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        assert_eq!(q.try_push(3), Err(PushError::Full));
+        assert_eq!(q.push_shed(1, Lane::Routine), Ok(None));
+        assert_eq!(q.push_shed(2, Lane::Routine), Ok(None));
+        assert_eq!(q.push_shed(3, Lane::Routine), Err(PushError::Full));
         let _ = q.pop_vec(1);
-        q.try_push(3).unwrap();
+        assert_eq!(q.push_shed(3, Lane::Routine), Ok(None));
     }
 
     #[test]
@@ -554,7 +529,7 @@ mod tests {
         // queue serving with its state intact.
         assert_eq!(q.len(), 1);
         q.push(2).unwrap();
-        q.try_push(3).unwrap();
+        assert_eq!(q.push_shed(3, Lane::Routine), Ok(None));
         assert_eq!(q.push_shed(4, Lane::Urgent), Ok(None));
         assert_eq!(q.pop_vec(8).unwrap(), vec![4, 1, 2, 3]);
         let deadline = Instant::now() + Duration::from_millis(5);

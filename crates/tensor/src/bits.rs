@@ -89,7 +89,7 @@ pub fn xnor_popcount(a: &[u64], b: &[u64], len: usize) -> u32 {
 /// value +1), through the runtime-dispatched packing kernel. Tail bits
 /// beyond `values.len()` are written as zero.
 ///
-/// This is the word-level entry the op-graph executor uses to pack input
+/// This is the word-level entry the execution plans use to pack input
 /// rows directly into an execution-plan arena with no intermediate
 /// [`BitVec`]/[`BitMatrix`]; it produces exactly the words
 /// [`BitVec::from_signs`] would.
