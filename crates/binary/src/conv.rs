@@ -222,9 +222,11 @@ mod tests {
         let xb: Vec<BitVec> = x.iter().map(|c| BitVec::from_signs(c)).collect();
         let got = layer.forward_sign(&xb);
         let expect = float_reference(&w, &x, out_ch, in_ch, kernel, &scale, &shift);
-        for o in 0..out_ch {
-            for t in 0..layer.out_len(len) {
-                assert_eq!(got[o].get(t), expect[o][t], "({o},{t})");
+        assert_eq!(got.len(), expect.len());
+        for (o, (got, expect)) in got.iter().zip(&expect).enumerate() {
+            assert_eq!(expect.len(), layer.out_len(len));
+            for (t, &bit) in expect.iter().enumerate() {
+                assert_eq!(got.get(t), bit, "({o},{t})");
             }
         }
     }
@@ -261,13 +263,11 @@ mod tests {
                 let xb: Vec<BitVec> = x.iter().map(|c| BitVec::from_signs(c)).collect();
                 let got = layer.forward_sign(&xb);
                 let expect = float_reference(&w, &x, out_ch, in_ch, kernel, &scale, &shift);
-                for o in 0..out_ch {
-                    for t in 0..layer.out_len(len) {
-                        assert_eq!(
-                            got[o].get(t),
-                            expect[o][t],
-                            "kernel {kernel}, in_ch {in_ch}, ({o},{t})"
-                        );
+                assert_eq!(got.len(), expect.len());
+                for (o, (got, expect)) in got.iter().zip(&expect).enumerate() {
+                    assert_eq!(expect.len(), layer.out_len(len));
+                    for (t, &bit) in expect.iter().enumerate() {
+                        assert_eq!(got.get(t), bit, "kernel {kernel}, in_ch {in_ch}, ({o},{t})");
                     }
                 }
             }

@@ -162,9 +162,9 @@ mod tests {
             let x = Tensor::from_vec(xin.clone(), [1, 16]);
             let float_logits = seq.forward(&x, Phase::Eval);
             let bit_logits = net.logits(&xin);
-            for c in 0..3 {
-                let f = float_logits.as_slice()[c];
-                let b = bit_logits[c];
+            assert_eq!(float_logits.as_slice().len(), 3);
+            assert_eq!(bit_logits.len(), 3);
+            for (c, (&f, &b)) in float_logits.as_slice().iter().zip(&bit_logits).enumerate() {
                 assert!(
                     (f - b).abs() < 1e-3,
                     "logit {c} differs: float {f} vs bits {b}"

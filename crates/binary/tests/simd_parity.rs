@@ -29,12 +29,12 @@ fn pm1(seed: &mut u64, n: usize) -> Vec<f32> {
 fn network(seed: &mut u64) -> BinaryNetwork {
     let (inf, hid, out) = (408usize, 75usize, 2usize);
     let l1 = BinaryDense::from_sign_tensor(
-        &Tensor::from_vec(pm1(seed, hid * inf), &[hid, inf]),
+        &Tensor::from_vec(pm1(seed, hid * inf), [hid, inf]),
         vec![1.0; hid],
         vec![0.0; hid],
     );
     let l2 = BinaryDense::from_sign_tensor(
-        &Tensor::from_vec(pm1(seed, out * hid), &[out, hid]),
+        &Tensor::from_vec(pm1(seed, out * hid), [out, hid]),
         vec![1.0; out],
         vec![0.5; out],
     );

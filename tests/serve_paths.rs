@@ -5,7 +5,8 @@
 //! batches the worker regroups by task in place — plus the typed
 //! errors of the one submit primitive (expired deadline, a window with
 //! one bad row, an unregistered task) and the class-count limit of a
-//! served model (`MAX_CLASSES`), on start and on hot swap.
+//! served model (`MAX_CLASSES`), on start and on hot swap. A fresh
+//! merge-configured pool answers a lone request without lingering.
 //!
 //! Small model (the deployed ECG shape, 408→75→2) so the whole file runs
 //! in well under two seconds in a debug build.
@@ -98,6 +99,41 @@ fn pipelined_single_sample_requests_merge_and_match_direct() {
         "pipelined requests must merge, mean batch {:.2}",
         snap.mean_batch
     );
+}
+
+#[test]
+fn fresh_merge_pool_answers_a_lone_request_without_lingering() {
+    // A new pool has no batch history, so its first request dispatches at
+    // once instead of waiting out a 10 s linger for stragglers.
+    let registry = registry(29);
+    let server = Server::start(
+        &registry,
+        &ServeConfig {
+            workers: 2,
+            batch: BatchPolicy {
+                max_batch: 64,
+                max_delay: Duration::from_secs(10),
+            },
+            ..ServeConfig::default()
+        },
+    );
+    let handle = server.handle();
+    let client = handle.client(ServeTask::Ecg).expect("registered");
+    let row = rows(1, &mut StdRng::seed_from_u64(9)).remove(0);
+    let t0 = Instant::now();
+    let served = client.enqueue(row.clone()).expect("admitted").wait();
+    let waited = t0.elapsed();
+    assert_bitwise(&registry, &row, &served.expect("served"));
+    assert!(
+        waited < Duration::from_secs(1),
+        "a lone request on a fresh pool took {waited:?}"
+    );
+    // The first completion is always sampled, and shutdown joins the
+    // worker that recorded it: its linger is nil.
+    server.shutdown();
+    let spans = handle.span_samples();
+    let first = spans.first().expect("the first completion is traced");
+    assert!(first.batch_wait < Duration::from_secs(1), "{first:?}");
 }
 
 #[test]
