@@ -74,7 +74,7 @@ fn main() {
             flag(report.plan_bitwise && report.rram_plan_bitwise),
             flag(report.rram_single_bitwise),
             flag(report.serve_bitwise.unwrap_or(true) && report.serve_rram_bitwise.unwrap_or(true)),
-            flag(noisy.map_or(true, |n| n.within_bound)),
+            flag(noisy.is_none_or(|n| n.within_bound)),
             noisy.map_or_else(String::new, |n| format!(
                 "{}/{:.1}",
                 n.observed_disagreements, n.disagreement_bound

@@ -122,10 +122,8 @@ struct RunOutcome {
 /// One training run through `train::fit`, evaluating every epoch.
 fn train_run(
     model: &mut dyn Layer,
-    x: &Tensor,
-    y: &[usize],
-    vx: &Tensor,
-    vy: &[usize],
+    data: train::Labelled<'_>,
+    val: train::Labelled<'_>,
     epochs: usize,
     seed: u64,
     lr: f32,
@@ -140,13 +138,7 @@ fn train_run(
         lr_schedule: None,
     };
     let t0 = Instant::now();
-    let hist = train::fit(
-        model,
-        train::Labelled::new(x, y),
-        Some(train::Labelled::new(vx, vy)),
-        &mut opt,
-        &cfg,
-    );
+    let hist = train::fit(model, data, Some(val), &mut opt, &cfg);
     let elapsed = t0.elapsed().as_secs_f64();
     let mut bits: Vec<u32> = Vec::new();
     bits.extend(hist.train_loss.iter().map(|v| v.to_bits()));
@@ -157,25 +149,22 @@ fn train_run(
     }
     RunOutcome {
         epoch_ms: elapsed * 1e3 / epochs as f64,
-        samples_per_s: (y.len() * epochs) as f64 / elapsed,
+        samples_per_s: (data.len() * epochs) as f64 / elapsed,
         final_val_acc: hist.final_val_acc().unwrap_or(0.0),
         bits,
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn bench_workload(
     name: &str,
     build: impl Fn() -> Box<dyn Layer>,
-    x: &Tensor,
-    y: &[usize],
-    vx: &Tensor,
-    vy: &[usize],
+    data: train::Labelled<'_>,
+    val: train::Labelled<'_>,
     epochs: usize,
     lr: f32,
 ) -> WorkloadResult {
     let seed = 42;
-    let run = || train_run(build().as_mut(), x, y, vx, vy, epochs, seed, lr);
+    let run = || train_run(build().as_mut(), data, val, epochs, seed, lr);
     let run_a = run();
     let run_b = run();
     set_forced_scalar(true);
@@ -185,7 +174,7 @@ fn bench_workload(
         name: name.to_string(),
         batch_size: BATCH_SIZE,
         epochs,
-        train_samples: y.len(),
+        train_samples: data.len(),
         epoch_ms: run_a.epoch_ms,
         samples_per_s: run_a.samples_per_s,
         scalar_epoch_ms: scalar.epoch_ms,
@@ -194,6 +183,10 @@ fn bench_workload(
         scalar_parity: scalar.bits == run_a.bits,
     }
 }
+
+/// One microbenchmark case: kernel name, elements per call, iterations,
+/// whether the speedup is gated, and the timed call.
+type KernelCase<'a> = (&'static str, usize, usize, bool, &'a mut dyn FnMut() -> u64);
 
 /// Times the three runtime-dispatched kernel families against the
 /// forced-scalar oracle at deployed-ECG shapes: sign packing (the serve
@@ -240,7 +233,7 @@ fn simd_microbench() -> Vec<SimdRow> {
     };
 
     let mut rows = Vec::new();
-    let cases: [(&'static str, usize, usize, bool, &mut dyn FnMut() -> u64); 3] = [
+    let cases: [KernelCase; 3] = [
         (
             "pack_signs (BitMatrix::from_signs, serve packing)",
             pack_rows * pack_cols,
@@ -323,10 +316,8 @@ fn main() {
         workloads.push(bench_workload(
             "ecg_mlp_paper_5152_75_2",
             || Box::new(build_ecg_mlp(5)) as Box<dyn Layer>,
-            &x,
-            &y,
-            &vx,
-            &vy,
+            train::Labelled::new(&x, &y),
+            train::Labelled::new(&vx, &vy),
             mlp_epochs,
             0.01,
         ));
@@ -348,10 +339,8 @@ fn main() {
                 Box::new(setup.build_model(BinarizationStrategy::BinarizedClassifier, 1, 17))
                     as Box<dyn Layer>
             },
-            train_ds.samples(),
-            train_ds.labels(),
-            val_ds.samples(),
-            val_ds.labels(),
+            train::Labelled::new(train_ds.samples(), train_ds.labels()),
+            train::Labelled::new(val_ds.samples(), val_ds.labels()),
             eeg_epochs,
             0.01,
         ));

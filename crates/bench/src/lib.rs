@@ -14,8 +14,7 @@
 //! | `ext_ber_accuracy` | accuracy-vs-BER extension (refs \[15\],\[16\]) |
 //! | `paperbench` | everything above, quick settings |
 //! | `serve_bench` | serving gates: deployed-model RRAM batch-64 floor + telemetry overhead |
-//! | `stream_bench` | continuous-monitoring ingestion: N patient streams → serve pool (gated) |
-//! | `chaos_bench` | fault-injection gate: fleet stays real-time and loss-free under seeded chaos (gated) |
+//! | `stream_bench` | monitoring fleet: N patient streams → serve pool, clean and under seeded chaos (gated) |
 //! | `train_bench` | training throughput + determinism and forced-scalar parity (gated) |
 //! | `conformance` | cross-backend differential oracle + fault campaigns (gated) |
 //!
@@ -312,7 +311,7 @@ mod tests {
     #[test]
     fn results_dir_is_creatable() {
         let d = results_dir();
-        assert!(d.exists() || d == PathBuf::from("."));
+        assert!(d.exists() || d == std::path::Path::new("."));
     }
 
     #[test]

@@ -395,7 +395,7 @@ mod tests {
             }
         }
         // Indices 1 and 2 pin two of the 63/64/65-tap edge kernels.
-        assert!(kernels_seen.iter().any(|&k| k >= 63 && k <= 65));
+        assert!(kernels_seen.iter().any(|k| (63..=65).contains(k)));
         // Index 0 pins the 65-feature word-boundary MLP.
         let m0 = generate(0, 1);
         assert_eq!(m0.feature_width(), 65);

@@ -134,7 +134,7 @@ impl OracleReport {
             && self.rram_plan_bitwise
             && self.serve_bitwise.unwrap_or(true)
             && self.serve_rram_bitwise.unwrap_or(true)
-            && self.noisy.as_ref().map_or(true, |n| n.within_bound)
+            && self.noisy.as_ref().is_none_or(|n| n.within_bound)
     }
 }
 

@@ -117,7 +117,7 @@ impl History {
 
 /// A labelled batch-major dataset view: samples stacked on axis 0 plus one
 /// integer label per sample.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Labelled<'a> {
     /// Stacked samples `[N, …]`.
     pub x: &'a Tensor,

@@ -45,8 +45,7 @@
 //! submissions may evict the newest routine entry. Requests carry
 //! optional deadlines ([`SubmitOptions`]); expired requests are dropped
 //! before dispatch with [`ServeError::DeadlineExceeded`]. Worn RRAM
-//! replicas whose marginal-cell fraction crosses
-//! [`ServeConfig::degrade_marginal_threshold`] fall back to bit-exact
+//! replicas whose marginal-cell fraction crosses 5% fall back to bit-exact
 //! software XNOR of the same network ([`ReplicaHealth::Degraded`]).
 //! [`ServeHandle::fleet_health`] reports the whole picture.
 //!

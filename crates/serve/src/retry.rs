@@ -12,6 +12,12 @@ use std::time::Duration;
 
 use crate::ServeError;
 
+/// Fraction of each backoff randomized away: the actual delay is uniform
+/// in `[(1 - JITTER) * b, b]`.
+const JITTER: f64 = 0.5;
+/// Seed of the deterministic jitter stream.
+const JITTER_SEED: u64 = 0x8E77_4ED1;
+
 /// Retry budget for one logical request.
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
@@ -21,11 +27,6 @@ pub struct RetryPolicy {
     pub base_backoff: Duration,
     /// Upper bound on any single backoff.
     pub max_backoff: Duration,
-    /// Fraction of the backoff randomized away, in `[0, 1]`: the actual
-    /// delay is uniform in `[(1 - jitter) * b, b]`.
-    pub jitter: f64,
-    /// Seed of the deterministic jitter stream.
-    pub seed: u64,
 }
 
 impl Default for RetryPolicy {
@@ -34,8 +35,6 @@ impl Default for RetryPolicy {
             max_attempts: 3,
             base_backoff: Duration::from_millis(1),
             max_backoff: Duration::from_millis(50),
-            jitter: 0.5,
-            seed: 0x8E77_4ED1,
         }
     }
 }
@@ -48,7 +47,8 @@ impl RetryPolicy {
     }
 
     /// Backoff before retrying after 0-based attempt `attempt`, jittered
-    /// by a splitmix64 draw over `(seed, salt, attempt)`. Callers pass a
+    /// into `[raw / 2, raw]` by a splitmix64 draw over `(salt, attempt)`,
+    /// where `raw` is the capped exponential delay. Callers pass a
     /// per-request `salt` (e.g. a window index or request ordinal) so
     /// concurrent requests desynchronize.
     pub fn backoff(&self, attempt: u32, salt: u64) -> Duration {
@@ -57,17 +57,14 @@ impl RetryPolicy {
             .base_backoff
             .saturating_mul(1u32 << exp.min(20))
             .min(self.max_backoff);
-        let jitter = self.jitter.clamp(0.0, 1.0);
-        if jitter == 0.0 || raw.is_zero() {
-            return raw;
-        }
-        let mut z = self.seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ ((attempt as u64) << 48);
+        let mut z =
+            JITTER_SEED ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ ((attempt as u64) << 48);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^= z >> 31;
         // Uniform in [0, 1): 53 mantissa bits.
         let unit = (z >> 11) as f64 / (1u64 << 53) as f64;
-        raw.mul_f64(1.0 - jitter * unit)
+        raw.mul_f64(1.0 - JITTER * unit)
     }
 }
 
@@ -89,32 +86,42 @@ impl ServeError {
 mod tests {
     use super::*;
 
+    /// True when `b` lies in the jitter band `[raw / 2, raw]`.
+    fn in_band(b: Duration, raw: Duration) -> bool {
+        b >= raw / 2 && b <= raw
+    }
+
     #[test]
     fn backoff_grows_exponentially_and_caps() {
-        let p = RetryPolicy {
-            jitter: 0.0,
-            ..Default::default()
-        };
-        assert_eq!(p.backoff(0, 0), Duration::from_millis(1));
-        assert_eq!(p.backoff(1, 0), Duration::from_millis(2));
-        assert_eq!(p.backoff(4, 0), Duration::from_millis(16));
-        assert_eq!(p.backoff(10, 0), p.max_backoff);
-        assert_eq!(p.backoff(u32::MAX, 0), p.max_backoff);
+        let p = RetryPolicy::default();
+        for salt in 0..16u64 {
+            for (attempt, raw_ms) in [(0, 1), (1, 2), (4, 16), (10, 50), (u32::MAX, 50)] {
+                let b = p.backoff(attempt, salt);
+                let raw = Duration::from_millis(raw_ms);
+                assert!(
+                    in_band(b, raw),
+                    "attempt {attempt}: {b:?} outside [{raw:?}/2, {raw:?}]"
+                );
+            }
+            // Doubling the raw delay lifts the band's floor to the old
+            // ceiling, so growth shows through any jitter draw.
+            assert!(p.backoff(3, salt) >= p.backoff(2, salt));
+        }
     }
 
     #[test]
     fn jitter_stays_within_band_and_varies_by_salt() {
-        let p = RetryPolicy::default(); // jitter 0.5
+        let p = RetryPolicy::default();
         let full = Duration::from_millis(4);
         let lo = full.mul_f64(0.5);
         let mut distinct = std::collections::BTreeSet::new();
         for salt in 0..32u64 {
             let b = p.backoff(2, salt);
-            assert!(b >= lo && b <= full, "{b:?} outside [{lo:?}, {full:?}]");
+            assert!(in_band(b, full), "{b:?} outside [{lo:?}, {full:?}]");
             distinct.insert(b.as_nanos());
         }
         assert!(distinct.len() > 16, "jitter must desynchronize salts");
-        // Deterministic per (seed, salt, attempt).
+        // Deterministic per (salt, attempt).
         assert_eq!(p.backoff(2, 7), p.backoff(2, 7));
     }
 

@@ -142,13 +142,6 @@ pub struct ServeConfig {
     pub admission: AdmissionPolicy,
     /// Respawn/quarantine policy for faulted replicas.
     pub supervisor: SupervisorPolicy,
-    /// Marginal-cell fraction above which an RRAM replica falls back to
-    /// the bit-exact software XNOR path (degraded mode). Checked after
-    /// each dispatch; `0.0` disables the fallback. The default (5%) sits
-    /// far above any fresh fabric (≪ 1% marginal) but below the
-    /// heavily-worn regime where Monte-Carlo senses dominate both the
-    /// latency and the error budget.
-    pub degrade_marginal_threshold: f64,
 }
 
 impl Default for ServeConfig {
@@ -162,7 +155,6 @@ impl Default for ServeConfig {
             engine_threads: 1,
             admission: AdmissionPolicy::Shed,
             supervisor: SupervisorPolicy::default(),
-            degrade_marginal_threshold: 0.05,
         }
     }
 }
@@ -351,8 +343,6 @@ struct Shared {
     models: RwLock<BTreeMap<ServeTask, ModelSlot>>,
     supervisor: Supervisor,
     admission: AdmissionPolicy,
-    /// See [`ServeConfig::degrade_marginal_threshold`].
-    degrade_marginal_threshold: f64,
 }
 
 impl Shared {
@@ -849,7 +839,6 @@ impl Server {
             models: RwLock::new(models),
             supervisor: Supervisor::new(config.supervisor.clone(), config.workers, &tasks),
             admission: config.admission,
-            degrade_marginal_threshold: config.degrade_marginal_threshold,
         });
 
         let workers = (0..config.workers)
@@ -1328,8 +1317,14 @@ fn fail_group(batch: &mut [Request], task: ServeTask, error: ServeError) {
     }
 }
 
+/// Marginal-cell fraction above which an RRAM replica falls back to the
+/// bit-exact software XNOR path (degraded mode). It sits far above any
+/// fresh fabric (≪ 1% marginal) but below the heavily-worn regime where
+/// Monte-Carlo senses dominate both the latency and the error budget.
+const DEGRADE_MARGINAL_THRESHOLD: f64 = 0.05;
+
 /// Degraded-mode fallback: when an RRAM replica's marginal-cell fraction
-/// crosses the configured threshold, swap the replica to bit-exact
+/// crosses [`DEGRADE_MARGINAL_THRESHOLD`], swap the replica to bit-exact
 /// software XNOR evaluation of the *same* network. Inference keeps
 /// flowing at software speed while the fleet report shows the die as
 /// degraded — mirroring the paper's deployment story, where the
@@ -1340,14 +1335,11 @@ fn maybe_degrade(
     task: ServeTask,
     engine: &mut Option<WorkerEngine>,
 ) {
-    if shared.degrade_marginal_threshold <= 0.0 {
-        return;
-    }
     let Some(live) = engine.as_ref() else {
         return;
     };
     if let Some(fraction) = live.marginal_fraction() {
-        if fraction > shared.degrade_marginal_threshold {
+        if fraction > DEGRADE_MARGINAL_THRESHOLD {
             *engine = Some(WorkerEngine::Software);
             shared.supervisor.record_degraded(worker_idx, task);
         }

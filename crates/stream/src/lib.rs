@@ -30,7 +30,7 @@
 //! out. Retryable failures (shed admission, engine faults, transient
 //! errors) back off with jitter and resubmit; windows of an alarm-active
 //! patient ride the urgent queue lane; [`RouterConfig::deadline`] bounds
-//! each window's freshness. `chaos_bench` (in `rbnn-bench`) drives this
+//! each window's freshness. `stream_bench` (in `rbnn-bench`) drives this
 //! whole stack through seeded fault injection and gates zero lost
 //! requests at 64 patients.
 //!

@@ -383,11 +383,6 @@ impl StreamRouter {
         })
     }
 
-    /// Registered patients.
-    pub fn patient_count(&self) -> usize {
-        self.patients.len()
-    }
-
     /// Runs every stream to its window target and returns one report per
     /// patient (same order as registration). Patients are multiplexed:
     /// each loop iteration drains whichever replies have landed, resubmits

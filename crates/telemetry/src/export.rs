@@ -1,16 +1,10 @@
-//! Exposition: rendering a registry snapshot as Prometheus text or JSON,
-//! and the periodic flight recorder.
+//! Exposition: rendering a registry snapshot as Prometheus text or JSON.
 //!
 //! The crate is dependency-free, so JSON is emitted by hand here; the
 //! schema is intentionally flat (arrays of samples) so downstream tooling
 //! does not need to know metric names in advance.
 
 use std::fmt::Write as _;
-use std::io::Write;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// One counter or gauge sample in a [`TelemetrySnapshot`].
 #[derive(Debug, Clone, PartialEq)]
@@ -248,87 +242,10 @@ fn json_number_sample(out: &mut String, s: &NumberSample, first: &mut bool) {
     let _ = write!(out, ",\"value\":{}}}", json_number(s.value));
 }
 
-/// Periodic snapshot streamer for long-running sessions: a background
-/// thread renders a snapshot every `interval` as one JSON line and writes
-/// it to the supplied writer (newline-delimited JSON).
-pub struct FlightRecorder {
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl FlightRecorder {
-    /// Starts recording: every `interval`, `snap()` is rendered to JSON
-    /// and appended (one line each) to `writer`. A final snapshot is
-    /// written on [`stop`](Self::stop)/drop, so even a recorder stopped
-    /// before its first tick captures the end state.
-    pub fn start<W, F>(interval: Duration, mut writer: W, snap: F) -> Self
-    where
-        W: Write + Send + 'static,
-        F: Fn() -> TelemetrySnapshot + Send + 'static,
-    {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let thread = std::thread::Builder::new()
-            .name("rbnn-flight-recorder".into())
-            .spawn(move || {
-                // Poll the stop flag at a fine grain so shutdown is prompt
-                // even with long intervals.
-                let tick = interval
-                    .min(Duration::from_millis(20))
-                    .max(Duration::from_millis(1));
-                let mut elapsed = Duration::ZERO;
-                loop {
-                    // Relaxed: the flag is the only shared state; the final
-                    // snapshot is ordered by the join in `shutdown`, not by
-                    // this load.
-                    if stop_flag.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    std::thread::sleep(tick);
-                    elapsed += tick;
-                    if elapsed >= interval {
-                        elapsed = Duration::ZERO;
-                        let line = snap().to_json();
-                        let _ = writeln!(writer, "{line}");
-                    }
-                }
-                let line = snap().to_json();
-                let _ = writeln!(writer, "{line}");
-                let _ = writer.flush();
-            })
-            .expect("spawn flight recorder");
-        Self {
-            stop,
-            thread: Some(thread),
-        }
-    }
-
-    /// Stops the recorder, writing one final snapshot line and flushing.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        // Relaxed: the recorder thread polls this flag; `join` below is the
-        // synchronization point for everything it wrote.
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for FlightRecorder {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::registry::MetricsRegistry;
-    use std::sync::Mutex;
 
     fn sample_snapshot() -> TelemetrySnapshot {
         let reg = MetricsRegistry::new();
@@ -389,55 +306,5 @@ rbnn_latency_us_count 3
         assert_eq!(fmt_value(f64::NAN), "NaN");
         assert_eq!(json_number(f64::NAN), "null");
         assert_eq!(fmt_value(0.25), "0.25");
-    }
-
-    /// A `Write` sink the test can inspect after the recorder stops.
-    #[derive(Clone, Default)]
-    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-    impl Write for SharedBuf {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().expect("buf lock").extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn flight_recorder_streams_snapshots() {
-        let buf = SharedBuf::default();
-        let sink = buf.clone();
-        let recorder = FlightRecorder::start(Duration::from_millis(5), sink, || {
-            let reg = MetricsRegistry::new();
-            reg.counter("rbnn_ticks_total", "", "Ticks.").inc();
-            reg.snapshot()
-        });
-        std::thread::sleep(Duration::from_millis(40));
-        recorder.stop();
-        let bytes = buf.0.lock().expect("buf lock").clone();
-        let text = String::from_utf8(bytes).expect("utf8");
-        let lines: Vec<&str> = text.lines().collect();
-        // Several periodic lines plus the final flush line.
-        assert!(lines.len() >= 2, "expected >=2 lines, got {}", lines.len());
-        for line in lines {
-            assert!(line.starts_with("{\"counters\":["), "line: {line}");
-            assert!(line.contains("rbnn_ticks_total"));
-        }
-    }
-
-    #[test]
-    fn flight_recorder_drop_writes_final_snapshot() {
-        let buf = SharedBuf::default();
-        let sink = buf.clone();
-        {
-            let _recorder = FlightRecorder::start(Duration::from_secs(3600), sink, || {
-                TelemetrySnapshot::default()
-            });
-            // Dropped immediately: interval never elapses.
-        }
-        let bytes = buf.0.lock().expect("buf lock").clone();
-        let text = String::from_utf8(bytes).expect("utf8");
-        assert_eq!(text.lines().count(), 1);
     }
 }

@@ -15,7 +15,7 @@
 //!   decomposes one request into queue-wait / batch-linger / service
 //!   phases, retained in a fixed [`SpanRing`] for post-hoc tail analysis.
 //! - [`export`] — [`TelemetrySnapshot`] with a Prometheus-text renderer
-//!   and a JSON dump, plus the periodic [`FlightRecorder`].
+//!   and a JSON dump.
 //!
 //! # Enabling and disabling
 //!
@@ -49,7 +49,7 @@ pub mod metrics;
 pub mod registry;
 pub mod trace;
 
-pub use export::{FlightRecorder, HistogramSample, NumberSample, TelemetrySnapshot};
+pub use export::{HistogramSample, NumberSample, TelemetrySnapshot};
 pub use metrics::{Counter, FloatCounter, Gauge, LogHistogram};
 pub use registry::{MetricKey, MetricsRegistry};
 pub use trace::{SpanRecord, SpanRing};
