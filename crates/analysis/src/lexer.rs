@@ -235,15 +235,15 @@ pub fn lex(src: &str) -> LexedFile {
                     i < b.len() && (b[i] == b'x' || b[i] == b'b' || b[i] == b'o') && c == b'0';
                 while i < b.len() {
                     let d = b[i];
-                    if is_ident_char(d) {
-                        i += 1;
-                    } else if d == b'.' && i + 1 < b.len() && b[i + 1].is_ascii_digit() {
-                        i += 1;
-                    } else if (d == b'+' || d == b'-')
-                        && !hex
-                        && matches!(b[i - 1], b'e' | b'E')
-                        && i + 1 < b.len()
-                        && b[i + 1].is_ascii_digit()
+                    // Identifier characters, a decimal point before a
+                    // digit, or an exponent sign (`1e-3`, not in hex).
+                    if is_ident_char(d)
+                        || (d == b'.' && i + 1 < b.len() && b[i + 1].is_ascii_digit())
+                        || ((d == b'+' || d == b'-')
+                            && !hex
+                            && matches!(b[i - 1], b'e' | b'E')
+                            && i + 1 < b.len()
+                            && b[i + 1].is_ascii_digit())
                     {
                         i += 1;
                     } else {

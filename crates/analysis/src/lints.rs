@@ -165,13 +165,13 @@ pub fn check_source(rel: &str, class: FileClass, src: &str, cfg: &Config) -> Vec
     check_nested_locks(rel, &lexed, &model, &mut out);
     check_hygiene(rel, class, &lexed, &model, cfg, &mut out);
 
-    out.sort_by(|a, b| (a.line, a.lint).cmp(&(b.line, b.lint)));
+    out.sort_by_key(|a| (a.line, a.lint));
     out
 }
 
 const ATOMIC_ORDERINGS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
 
-fn ident<'a>(lexed: &'a LexedFile, i: usize) -> Option<&'a str> {
+fn ident(lexed: &LexedFile, i: usize) -> Option<&str> {
     match lexed.tokens.get(i).map(|t| &t.kind) {
         Some(TokenKind::Ident(s)) => Some(s.as_str()),
         _ => None,

@@ -10,7 +10,7 @@
 //! - `--root DIR`          scan root (default `.`, the workspace root under `cargo run`)
 //! - `--config FILE`       zone map (default `<root>/analysis.toml`)
 //! - `--json FILE`         machine-readable report path
-//!                         (default `<root>/bench_results/analysis.json`; `--json none` disables)
+//!   (default `<root>/bench_results/analysis.json`; `--json none` disables)
 //! - `PATH…`               optional path prefixes (relative to root) restricting the scan
 //!
 //! The CI seeded-violation self-check runs the same binary against the

@@ -255,7 +255,7 @@ mod tests {
         let total: usize = folds.iter().map(|f| f.len()).sum();
         assert_eq!(total, 23);
         // Folds are disjoint.
-        let mut seen = vec![false; 23];
+        let mut seen = [false; 23];
         for f in &folds {
             for &i in f {
                 assert!(!seen[i], "index {i} appears twice");

@@ -266,11 +266,11 @@ pub(crate) fn electrode_potentials(cfg: &EcgConfig, rng: &mut StdRng) -> Vec<Vec
             // Only touch samples within ±4σ.
             let lo = ((center_s - 4.0 * width_s) * fs).floor().max(0.0) as usize;
             let hi = (((center_s + 4.0 * width_s) * fs).ceil() as usize).min(n);
-            for i in lo..hi {
+            for (i, d) in dipole.iter_mut().enumerate().take(hi).skip(lo) {
                 let t = i as f32 / fs;
                 let g = gaussian_wave(t, center_s, width_s, w.amp * amp_scale);
                 for k in 0..3 {
-                    dipole[i][k] += g * (w.dir[k] + axis_jitter[k]);
+                    d[k] += g * (w.dir[k] + axis_jitter[k]);
                 }
             }
         }
@@ -413,8 +413,9 @@ mod tests {
         let cfg = tiny_cfg();
         let mut rng = StdRng::seed_from_u64(2);
         let leads = derive_leads(&electrode_potentials(&cfg, &mut rng));
-        for t in 0..cfg.samples {
-            assert!((leads[0][t] + leads[2][t] - leads[1][t]).abs() < 1e-5);
+        assert_eq!(leads[0].len(), cfg.samples);
+        for ((i, ii), iii) in leads[0].iter().zip(&leads[1]).zip(&leads[2]) {
+            assert!((i + iii - ii).abs() < 1e-5);
         }
     }
 
@@ -424,8 +425,9 @@ mod tests {
         let cfg = tiny_cfg();
         let mut rng = StdRng::seed_from_u64(3);
         let leads = derive_leads(&electrode_potentials(&cfg, &mut rng));
-        for t in 0..cfg.samples {
-            assert!((leads[3][t] + leads[4][t] + leads[5][t]).abs() < 1e-5);
+        assert_eq!(leads[3].len(), cfg.samples);
+        for ((avr, avl), avf) in leads[3].iter().zip(&leads[4]).zip(&leads[5]) {
+            assert!((avr + avl + avf).abs() < 1e-5);
         }
     }
 

@@ -53,7 +53,11 @@ impl VisionConfig {
 /// Class-defining parameters: orientation, spatial frequency and RGB tint.
 fn class_params(class: usize) -> (f32, f32, [f32; 3]) {
     let orient = (class % 4) as f32 * std::f32::consts::PI / 4.0;
-    let freq = if (class / 4) % 2 == 0 { 2.0 } else { 4.0 };
+    let freq = if (class / 4).is_multiple_of(2) {
+        2.0
+    } else {
+        4.0
+    };
     let tint = if class / 8 == 0 {
         [1.0, 0.6, 0.3]
     } else {

@@ -134,7 +134,7 @@ mod tests {
     #[test]
     fn relu_forward_backward() {
         let mut a = Activation::relu();
-        let x = Tensor::from_vec(vec![-1.0, 0.0, 2.0], &[1, 3]);
+        let x = Tensor::from_vec(vec![-1.0, 0.0, 2.0], [1, 3]);
         let y = a.forward(&x, Phase::Train);
         assert_eq!(y.as_slice(), &[0.0, 0.0, 2.0]);
         let g = a.backward(&Tensor::ones([1, 3]));
@@ -144,7 +144,7 @@ mod tests {
     #[test]
     fn hardtanh_clamps_and_gates_gradient() {
         let mut a = Activation::hardtanh();
-        let x = Tensor::from_vec(vec![-2.0, -0.5, 0.5, 2.0], &[1, 4]);
+        let x = Tensor::from_vec(vec![-2.0, -0.5, 0.5, 2.0], [1, 4]);
         let y = a.forward(&x, Phase::Train);
         assert_eq!(y.as_slice(), &[-1.0, -0.5, 0.5, 1.0]);
         let g = a.backward(&Tensor::ones([1, 4]));
@@ -154,7 +154,7 @@ mod tests {
     #[test]
     fn sign_ste_outputs_pm1_and_uses_hardtanh_grad() {
         let mut a = Activation::sign_ste();
-        let x = Tensor::from_vec(vec![-2.0, -0.5, 0.0, 2.0], &[1, 4]);
+        let x = Tensor::from_vec(vec![-2.0, -0.5, 0.0, 2.0], [1, 4]);
         let y = a.forward(&x, Phase::Train);
         assert_eq!(y.as_slice(), &[-1.0, -1.0, 1.0, 1.0]);
         let g = a.backward(&Tensor::full([1, 4], 3.0));

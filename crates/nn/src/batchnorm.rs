@@ -275,7 +275,7 @@ mod tests {
     fn eval_uses_running_stats() {
         let mut bn = BatchNorm::new(1);
         bn.set_running_stats(vec![10.0], vec![4.0]);
-        let x = Tensor::from_vec(vec![10.0, 12.0], &[2, 1]);
+        let x = Tensor::from_vec(vec![10.0, 12.0], [2, 1]);
         let y = bn.forward(&x, Phase::Eval);
         // (10−10)/2 = 0, (12−10)/2 ≈ 1.
         assert!((y.as_slice()[0] - 0.0).abs() < 1e-3);
@@ -286,10 +286,10 @@ mod tests {
     fn inference_coefficients_match_eval_forward() {
         let mut bn = BatchNorm::new(2);
         bn.set_running_stats(vec![1.0, -2.0], vec![4.0, 0.25]);
-        bn.gamma.value = Tensor::from_vec(vec![2.0, -1.0], &[2]);
-        bn.beta.value = Tensor::from_vec(vec![0.5, 1.0], &[2]);
+        bn.gamma.value = Tensor::from_vec(vec![2.0, -1.0], [2]);
+        bn.beta.value = Tensor::from_vec(vec![0.5, 1.0], [2]);
         let (scale, shift) = bn.inference_coefficients();
-        let x = Tensor::from_vec(vec![3.0, 7.0], &[1, 2]);
+        let x = Tensor::from_vec(vec![3.0, 7.0], [1, 2]);
         let y = bn.forward(&x, Phase::Eval);
         for ch in 0..2 {
             let expect = scale[ch] * x.as_slice()[ch] + shift[ch];

@@ -305,7 +305,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut conv = Conv1d::new(1, 1, 1, 1, 0, WeightMode::Real, &mut rng);
         conv.weight.value = Tensor::ones([1, 1]);
-        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[1, 1, 3]);
+        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0], [1, 1, 3]);
         let y = conv.forward(&x, Phase::Eval);
         assert_eq!(y.as_slice(), &[1.0, 2.0, 3.0]);
     }
@@ -314,9 +314,9 @@ mod tests {
     fn forward_known_values() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut conv = Conv1d::new(1, 1, 2, 1, 0, WeightMode::Real, &mut rng);
-        conv.weight.value = Tensor::from_vec(vec![1.0, -1.0], &[1, 2]);
-        conv.bias.as_mut().unwrap().value = Tensor::from_vec(vec![10.0], &[1]);
-        let x = Tensor::from_vec(vec![3.0, 5.0, 4.0], &[1, 1, 3]);
+        conv.weight.value = Tensor::from_vec(vec![1.0, -1.0], [1, 2]);
+        conv.bias.as_mut().unwrap().value = Tensor::from_vec(vec![10.0], [1]);
+        let x = Tensor::from_vec(vec![3.0, 5.0, 4.0], [1, 1, 3]);
         let y = conv.forward(&x, Phase::Eval);
         // window [3,5]: 3−5 = −2 ; window [5,4]: 5−4 = 1 ; plus bias 10
         assert_eq!(y.as_slice(), &[8.0, 11.0]);
@@ -334,8 +334,8 @@ mod tests {
     fn binary_mode_signs_weights() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut conv = Conv1d::new(1, 1, 2, 1, 0, WeightMode::Binary, &mut rng);
-        conv.weight.value = Tensor::from_vec(vec![0.2, -0.9], &[1, 2]);
-        let x = Tensor::from_vec(vec![2.0, 6.0], &[1, 1, 2]);
+        conv.weight.value = Tensor::from_vec(vec![0.2, -0.9], [1, 2]);
+        let x = Tensor::from_vec(vec![2.0, 6.0], [1, 1, 2]);
         let y = conv.forward(&x, Phase::Eval);
         // sign: [+1, −1] → 2 − 6 = −4
         assert_eq!(y.as_slice(), &[-4.0]);

@@ -563,10 +563,10 @@ mod tests {
     fn pointwise_is_channel_mixing_only() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut pw = Conv2d::pointwise(2, 1, WeightMode::Real, &mut rng);
-        pw.weight.value = Tensor::from_vec(vec![2.0, -1.0], &[1, 2]);
+        pw.weight.value = Tensor::from_vec(vec![2.0, -1.0], [1, 2]);
         let x = Tensor::from_vec(
             vec![1.0, 2.0, 3.0, 4.0, 10.0, 20.0, 30.0, 40.0],
-            &[1, 2, 2, 2],
+            [1, 2, 2, 2],
         );
         let y = pw.forward(&x, Phase::Eval);
         // y = 2·ch0 − 1·ch1 pixelwise
@@ -588,8 +588,8 @@ mod tests {
     fn depthwise_matches_manual_per_channel_filter() {
         let mut rng = StdRng::seed_from_u64(2);
         let mut dw = DepthwiseConv2d::new(2, (1, 1), (1, 1), (0, 0), WeightMode::Real, &mut rng);
-        dw.weight.value = Tensor::from_vec(vec![2.0, -3.0], &[2, 1]);
-        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 2, 1, 2]);
+        dw.weight.value = Tensor::from_vec(vec![2.0, -3.0], [2, 1]);
+        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [1, 2, 1, 2]);
         let y = dw.forward(&x, Phase::Eval);
         // ch0 scaled by 2, ch1 scaled by −3.
         assert_eq!(y.as_slice(), &[2.0, 4.0, -9.0, -12.0]);

@@ -249,9 +249,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut fc = Dense::new(3, 2, WeightMode::Real, &mut rng);
         // Overwrite with known weights.
-        fc.weight.value = Tensor::from_vec(vec![1.0, 0.0, -1.0, 2.0, 1.0, 0.0], &[2, 3]);
-        fc.bias.as_mut().unwrap().value = Tensor::from_vec(vec![0.5, -0.5], &[2]);
-        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[1, 3]);
+        fc.weight.value = Tensor::from_vec(vec![1.0, 0.0, -1.0, 2.0, 1.0, 0.0], [2, 3]);
+        fc.bias.as_mut().unwrap().value = Tensor::from_vec(vec![0.5, -0.5], [2]);
+        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0], [1, 3]);
         let y = fc.forward(&x, Phase::Eval);
         // row0: 1·1 + 2·0 + 3·(−1) + 0.5 = −1.5 ; row1: 1·2 + 2·1 + 3·0 − 0.5 = 3.5
         assert_eq!(y.as_slice(), &[-1.5, 3.5]);
@@ -261,8 +261,8 @@ mod tests {
     fn binary_mode_uses_sign_of_weights() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut fc = Dense::new(2, 1, WeightMode::Binary, &mut rng);
-        fc.weight.value = Tensor::from_vec(vec![0.3, -0.7], &[1, 2]);
-        let x = Tensor::from_vec(vec![2.0, 4.0], &[1, 2]);
+        fc.weight.value = Tensor::from_vec(vec![0.3, -0.7], [1, 2]);
+        let x = Tensor::from_vec(vec![2.0, 4.0], [1, 2]);
         let y = fc.forward(&x, Phase::Eval);
         // sign weights: [+1, −1] → 2 − 4 = −2 (+ bias 0)
         assert_eq!(y.as_slice(), &[-2.0]);
@@ -273,8 +273,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut fc = Dense::new(2, 1, WeightMode::Binary, &mut rng);
         // First latent weight saturated (>1), second inside the window.
-        fc.weight.value = Tensor::from_vec(vec![1.5, 0.5], &[1, 2]);
-        let x = Tensor::from_vec(vec![1.0, 1.0], &[1, 2]);
+        fc.weight.value = Tensor::from_vec(vec![1.5, 0.5], [1, 2]);
+        let x = Tensor::from_vec(vec![1.0, 1.0], [1, 2]);
         let _ = fc.forward(&x, Phase::Train);
         let _ = fc.backward(&Tensor::ones([1, 1]));
         let gw = fc.weight.grad.as_slice();

@@ -109,7 +109,7 @@ mod tests {
     #[test]
     fn eval_is_identity() {
         let mut d = Dropout::new(0.5, 0);
-        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[1, 3]);
+        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0], [1, 3]);
         let y = d.forward(&x, Phase::Eval);
         assert_eq!(y, x);
     }
@@ -143,9 +143,9 @@ mod tests {
     #[test]
     fn keep_one_is_identity_both_ways() {
         let mut d = Dropout::new(1.0, 0);
-        let x = Tensor::from_vec(vec![5.0, -3.0], &[1, 2]);
+        let x = Tensor::from_vec(vec![5.0, -3.0], [1, 2]);
         assert_eq!(d.forward(&x, Phase::Train), x);
-        let g = Tensor::from_vec(vec![1.0, 2.0], &[1, 2]);
+        let g = Tensor::from_vec(vec![1.0, 2.0], [1, 2]);
         assert_eq!(d.backward(&g), g);
     }
 

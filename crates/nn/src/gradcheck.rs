@@ -83,7 +83,7 @@ pub fn check_layer(
     // Numeric parameter gradients, one parameter tensor at a time.
     let n_params = analytic_param_grads.len();
     let mut max_param_errs = Vec::with_capacity(n_params);
-    for pi in 0..n_params {
+    for (pi, analytic) in analytic_param_grads.iter().enumerate() {
         let numel = layer.params()[pi].numel();
         let mut worst = 0.0f32;
         for j in 0..numel {
@@ -94,7 +94,7 @@ pub fn check_layer(
             let fm = layer.forward(&x, Phase::Train).dot(&r);
             layer.params_mut()[pi].value.as_mut_slice()[j] = orig;
             let numeric = (fp - fm) / (2.0 * eps);
-            worst = worst.max((numeric - analytic_param_grads[pi].as_slice()[j]).abs());
+            worst = worst.max((numeric - analytic.as_slice()[j]).abs());
         }
         max_param_errs.push(worst);
     }

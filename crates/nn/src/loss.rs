@@ -82,10 +82,10 @@ mod tests {
 
     #[test]
     fn softmax_is_shift_invariant_and_stable() {
-        let l = Tensor::from_vec(vec![1000.0, 1001.0], &[1, 2]);
+        let l = Tensor::from_vec(vec![1000.0, 1001.0], [1, 2]);
         let p = softmax(&l);
         assert!(p.as_slice().iter().all(|v| v.is_finite()));
-        let l2 = Tensor::from_vec(vec![0.0, 1.0], &[1, 2]);
+        let l2 = Tensor::from_vec(vec![0.0, 1.0], [1, 2]);
         assert!(p.allclose(&softmax(&l2), 1e-5));
     }
 

@@ -132,13 +132,13 @@ mod tests {
 
     #[test]
     fn accuracy_counts_argmax_hits() {
-        let logits = Tensor::from_vec(vec![0.9, 0.1, 0.2, 0.8, 0.6, 0.4], &[3, 2]);
+        let logits = Tensor::from_vec(vec![0.9, 0.1, 0.2, 0.8, 0.6, 0.4], [3, 2]);
         assert_eq!(accuracy(&logits, &[0, 1, 1]), 2.0 / 3.0);
     }
 
     #[test]
     fn top_k_is_monotone_in_k() {
-        let logits = Tensor::from_vec(vec![3.0, 2.0, 1.0, 0.0, 0.0, 1.0, 2.0, 3.0], &[2, 4]);
+        let logits = Tensor::from_vec(vec![3.0, 2.0, 1.0, 0.0, 0.0, 1.0, 2.0, 3.0], [2, 4]);
         let labels = [2usize, 0];
         let a1 = top_k_accuracy(&logits, &labels, 1);
         let a2 = top_k_accuracy(&logits, &labels, 2);
@@ -164,7 +164,7 @@ mod tests {
 
     #[test]
     fn confusion_from_logits() {
-        let logits = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2]);
+        let logits = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], [2, 2]);
         let mut cm = ConfusionMatrix::new(2);
         cm.record_logits(&logits, &[0, 0]);
         assert_eq!(cm.count(0, 0), 1);

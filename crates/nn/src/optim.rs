@@ -205,7 +205,7 @@ mod tests {
     /// Minimizes f(w) = ‖w − target‖² with the given optimizer; returns the
     /// final squared distance.
     fn optimize(opt: &mut dyn Optimizer, steps: usize) -> f32 {
-        let target = Tensor::from_vec(vec![3.0, -2.0, 0.5], &[3]);
+        let target = Tensor::from_vec(vec![3.0, -2.0, 0.5], [3]);
         let mut p = Param::new(Tensor::zeros([3]));
         for _ in 0..steps {
             p.zero_grad();
@@ -237,7 +237,7 @@ mod tests {
 
     #[test]
     fn weight_decay_shrinks_parameters() {
-        let mut p = Param::new(Tensor::from_vec(vec![1.0], &[1]));
+        let mut p = Param::new(Tensor::from_vec(vec![1.0], [1]));
         let mut opt = Sgd::new(0.1).with_weight_decay(0.5);
         // Zero task gradient: only decay acts.
         opt.step(&mut [&mut p]);
@@ -246,7 +246,7 @@ mod tests {
 
     #[test]
     fn no_decay_params_are_exempt() {
-        let mut p = Param::new(Tensor::from_vec(vec![1.0], &[1])).no_decay();
+        let mut p = Param::new(Tensor::from_vec(vec![1.0], [1])).no_decay();
         let mut opt = Sgd::new(0.1).with_weight_decay(0.5);
         opt.step(&mut [&mut p]);
         assert_eq!(p.value.as_slice()[0], 1.0);
@@ -254,8 +254,8 @@ mod tests {
 
     #[test]
     fn clamp_applied_after_step() {
-        let mut p = Param::new(Tensor::from_vec(vec![0.95], &[1])).with_clamp(-1.0, 1.0);
-        p.grad = Tensor::from_vec(vec![-10.0], &[1]);
+        let mut p = Param::new(Tensor::from_vec(vec![0.95], [1])).with_clamp(-1.0, 1.0);
+        p.grad = Tensor::from_vec(vec![-10.0], [1]);
         let mut opt = Sgd::new(0.1);
         opt.step(&mut [&mut p]);
         // Unclamped would be 0.95 + 1.0 = 1.95.

@@ -110,7 +110,7 @@ mod tests {
 
     #[test]
     fn clamp_applies_bounds() {
-        let mut p = Param::new(Tensor::from_vec(vec![-2.0, 0.5, 3.0], &[3])).with_clamp(-1.0, 1.0);
+        let mut p = Param::new(Tensor::from_vec(vec![-2.0, 0.5, 3.0], [3])).with_clamp(-1.0, 1.0);
         p.apply_clamp();
         assert_eq!(p.value.as_slice(), &[-1.0, 0.5, 1.0]);
     }

@@ -397,10 +397,10 @@ mod tests {
     #[test]
     fn max_pool1d_forward_backward() {
         let mut p = Pool1d::max(2);
-        let x = Tensor::from_vec(vec![1.0, 3.0, 2.0, 0.0], &[1, 1, 4]);
+        let x = Tensor::from_vec(vec![1.0, 3.0, 2.0, 0.0], [1, 1, 4]);
         let y = p.forward(&x, Phase::Train);
         assert_eq!(y.as_slice(), &[3.0, 2.0]);
-        let gx = p.backward(&Tensor::from_vec(vec![10.0, 20.0], &[1, 1, 2]));
+        let gx = p.backward(&Tensor::from_vec(vec![10.0, 20.0], [1, 1, 2]));
         assert_eq!(gx.as_slice(), &[0.0, 10.0, 20.0, 0.0]);
     }
 
@@ -415,10 +415,10 @@ mod tests {
     #[test]
     fn avg_pool1d_spreads_gradient() {
         let mut p = Pool1d::new(PoolKind::Avg, 2, 2);
-        let x = Tensor::from_vec(vec![1.0, 3.0, 5.0, 7.0], &[1, 1, 4]);
+        let x = Tensor::from_vec(vec![1.0, 3.0, 5.0, 7.0], [1, 1, 4]);
         let y = p.forward(&x, Phase::Train);
         assert_eq!(y.as_slice(), &[2.0, 6.0]);
-        let gx = p.backward(&Tensor::from_vec(vec![4.0, 8.0], &[1, 1, 2]));
+        let gx = p.backward(&Tensor::from_vec(vec![4.0, 8.0], [1, 1, 2]));
         assert_eq!(gx.as_slice(), &[2.0, 2.0, 4.0, 4.0]);
     }
 
@@ -437,7 +437,7 @@ mod tests {
                 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0, 13.0, 14.0, 15.0,
                 16.0,
             ],
-            &[1, 1, 4, 4],
+            [1, 1, 4, 4],
         );
         let y = p.forward(&x, Phase::Train);
         assert_eq!(y.as_slice(), &[6.0, 8.0, 14.0, 16.0]);
@@ -452,7 +452,7 @@ mod tests {
         let x = Tensor::from_fn([1, 2, 2, 2], |i| i as f32);
         let y = p.forward(&x, Phase::Train);
         assert_eq!(y.as_slice(), &[1.5, 5.5]);
-        let gx = p.backward(&Tensor::from_vec(vec![4.0, 8.0], &[1, 2]));
+        let gx = p.backward(&Tensor::from_vec(vec![4.0, 8.0], [1, 2]));
         assert_eq!(gx.at(&[0, 0, 0, 0]), 1.0);
         assert_eq!(gx.at(&[0, 1, 1, 1]), 2.0);
         assert_eq!(p.out_shape(&[64, 7, 7]), vec![64]);

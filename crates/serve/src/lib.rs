@@ -31,10 +31,12 @@
 //!    the request's rows, which the client frees: a [`Prediction`] holds
 //!    its logits inline ([`Logits`]), so a single-sample answer costs the
 //!    worker no allocation and a window answer exactly one, its
-//!    `Vec<Prediction>`; and
-//!    [`ServerStats`] records end-to-end latency into a log-scaled
-//!    histogram (p50/p95/p99), throughput, batch fill and per-replica
-//!    array counters.
+//!    `Vec<Prediction>`; and the worker accounts each task group once in
+//!    [`ServerStats`] — one clock read when the replay returns, one
+//!    completion add, and one flush of the latency, queue-wait and
+//!    service histograms (log-scaled, p50/p95/p99) after the group's
+//!    last answer — next to throughput, batch fill and per-replica array
+//!    counters.
 //!
 //! The runtime is *self-healing*: a replica that panics is retired,
 //! answered with a retryable [`ServeError::EngineFault`], and respawned

@@ -1162,6 +1162,9 @@ fn serve_batch(
             }
             Ok(dispatch_rows(engine, network, plan, gathered))
         }));
+        // Answer stamp: the group's replay returned. This one clock read
+        // ends every request's latency and the group's service time.
+        let answered = Instant::now();
         scratch.keep(rows);
         let (logits, senses) = match outcome {
             Ok(Ok(result)) => result,
@@ -1186,8 +1189,18 @@ fn serve_batch(
         maybe_degrade(shared, worker_idx, task, &mut replica.engine);
         samples_total += samples;
         senses_total += senses;
+        // The group is accounted once: its completions count now, so the
+        // span sampler knows each request's ordinal, and its times are
+        // tallied on this stack as the requests are answered and flushed
+        // after the last answer.
+        let requests = batch.iter().filter(|r| pending_for(r, task)).count();
+        let mut group = shared
+            .stats
+            .record_group(requests as u64, dispatched, answered);
+        let service = answered.saturating_duration_since(dispatched);
         let mut offset = 0usize;
-        for request in batch.iter_mut().filter(|r| pending_for(r, task)) {
+        let pending = batch.iter_mut().filter(|r| pending_for(r, task));
+        for (ordinal, request) in (group.first()..).zip(pending) {
             let n = request.payload.rows().len();
             let out = logits
                 .get(offset * classes..(offset + n) * classes)
@@ -1205,15 +1218,10 @@ fn serve_batch(
                 });
                 continue;
             };
-            let latency = request.submitted.elapsed();
-            let queue_wait = dispatched.duration_since(request.submitted);
-            let service = latency.saturating_sub(queue_wait);
             request
                 .reply
                 .answer(reply, std::mem::take(&mut request.payload));
-            let ordinal = shared
-                .stats
-                .record_completed_split(latency, queue_wait, service);
+            group.push(request.submitted);
             if ordinal % SPAN_SAMPLE_EVERY == 1 && rbnn_telemetry::enabled() {
                 if let Some(dequeued) = request.dequeued {
                     shared.spans.push(SpanRecord {
@@ -1225,6 +1233,7 @@ fn serve_batch(
                 }
             }
         }
+        group.flush();
     }
     if samples_total > 0 {
         shared
@@ -1560,6 +1569,33 @@ mod tests {
         // populated and bounded by the end-to-end p50-like scale.
         assert!(snap.service_p50 > Duration::ZERO);
         assert!(snap.queue_p50 + snap.service_p50 >= snap.p50 / 2);
+    }
+
+    #[test]
+    fn pipelined_requests_are_accounted_once_each() {
+        // A worker accounts each task group once: its completions count
+        // before it answers them, its times flush after the last answer.
+        // Every series counts every request exactly once.
+        let (server, registry) = demo_server(2, Backend::Software);
+        let client = server.handle().client(ServeTask::Ecg).expect("registered");
+        let net = &registry.get(ServeTask::Ecg).unwrap().network;
+        let mut rng = StdRng::seed_from_u64(12);
+        let n = 300;
+        let pending: Vec<_> = (0..n)
+            .map(|_| {
+                let x = random_features(net.in_features(), &mut rng);
+                client.enqueue(x).expect("admitted")
+            })
+            .collect();
+        for ticket in pending {
+            ticket.wait().expect("served");
+        }
+        assert_eq!(client.stats().completed, n);
+        let shared = Arc::clone(&server.shared);
+        // Shutdown joins the workers, so every flush has landed.
+        let snap = server.shutdown();
+        assert_eq!(snap.completed, n);
+        assert_eq!(shared.stats.histogram_counts(), [n; 3]);
     }
 
     #[test]

@@ -7,8 +7,16 @@
 //! unbounded sample vectors — the usual high-throughput-server compromise
 //! (HdrHistogram in miniature). End-to-end latency is tracked alongside
 //! its two components — **queue wait** (submission → dispatch, including
-//! the batcher linger) and **service time** (dispatch → completion) — so a
+//! the batcher linger) and **service time** (dispatch → answer) — so a
 //! p99 spike can be attributed to batching policy or to the engine.
+//!
+//! A worker accounts a dispatched task group once, not once per request:
+//! one clock read when the group's replay returns ends every request's
+//! latency, so queue wait + service = latency exactly. The completion
+//! count moves once per group before its answers go out; the group's
+//! times are tallied on the worker's stack as bucket runs while it
+//! answers, then reach the shared histograms as one add per run and one
+//! sum per histogram.
 //!
 //! Every series a `ServerStats` collects is simultaneously registered on
 //! the process-wide [`rbnn_telemetry::global`] registry under a unique
@@ -203,35 +211,39 @@ impl ServerStats {
         self.transient.inc();
     }
 
-    /// Records one completed request with its end-to-end latency.
-    pub fn record_completed(&self, latency: Duration) {
-        self.complete(latency);
-    }
-
-    /// Records one completed request with its end-to-end latency *and* its
-    /// phase decomposition (`queue_wait` = submission → dispatch including
-    /// the batcher linger, `service` = dispatch → completion). Returns the
-    /// completion ordinal (1-based), which the server uses for 1-in-N span
-    /// sampling.
-    pub fn record_completed_split(
+    /// Starts the accounting of one answered task group of `n` requests,
+    /// `dispatched` when the group went to the engine and `answered` when
+    /// its replay returned. The group's `n` completions count at once, so
+    /// its requests' completion ordinals are known before they are
+    /// answered (the server samples spans by them); their times are
+    /// tallied on the caller's stack as they are answered
+    /// ([`GroupTally::push`]) and reach the shared histograms in one
+    /// [`GroupTally::flush`].
+    pub(crate) fn record_group(
         &self,
-        latency: Duration,
-        queue_wait: Duration,
-        service: Duration,
-    ) -> u64 {
-        self.queue_wait.record(queue_wait);
-        self.service.record(service);
-        self.complete(latency)
+        n: u64,
+        dispatched: Instant,
+        answered: Instant,
+    ) -> GroupTally<'_> {
+        GroupTally {
+            stats: self,
+            first: self.completed.add(n) - n + 1,
+            dispatched,
+            answered,
+            latency: BucketRuns::new(&self.latency),
+            queue_wait: BucketRuns::new(&self.queue_wait),
+            pushed: 0,
+        }
     }
 
-    fn complete(&self, latency: Duration) -> u64 {
-        self.first_completed.get_or_init(Instant::now);
-        // Relaxed: a monotone high-water mark read by snapshots; statistics
-        // tolerate a slightly stale value and nothing else piggybacks on it.
-        self.last_completed_nanos
-            .fetch_max(self.started.elapsed().as_nanos() as u64, Ordering::Relaxed); // Relaxed: see above.
-        self.latency.record(latency);
-        self.completed.add(1)
+    /// Observations in the latency, queue-wait and service histograms.
+    #[cfg(test)]
+    pub(crate) fn histogram_counts(&self) -> [u64; 3] {
+        [
+            self.latency.count(),
+            self.queue_wait.count(),
+            self.service.count(),
+        ]
     }
 
     /// Records one dispatched batch of `samples` requests on `worker`.
@@ -323,6 +335,109 @@ impl ServerStats {
     }
 }
 
+/// One answered task group's accounting, opened by
+/// [`ServerStats::record_group`]. A request's latency is
+/// `answered − submitted`, split exactly into its queue wait
+/// (`dispatched − submitted`, batcher linger included) and the group's
+/// service time (`answered − dispatched`); no clock is read.
+pub(crate) struct GroupTally<'a> {
+    stats: &'a ServerStats,
+    first: u64,
+    dispatched: Instant,
+    answered: Instant,
+    latency: BucketRuns<'a>,
+    queue_wait: BucketRuns<'a>,
+    pushed: u64,
+}
+
+impl GroupTally<'_> {
+    /// Completion ordinal (1-based) of the group's first request; its
+    /// k-th request (0-based) is completion `first + k`.
+    pub(crate) fn first(&self) -> u64 {
+        self.first
+    }
+
+    /// Tallies one answered request submitted at `submitted`.
+    pub(crate) fn push(&mut self, submitted: Instant) {
+        self.latency
+            .push(micros(self.answered.saturating_duration_since(submitted)));
+        self.queue_wait
+            .push(micros(self.dispatched.saturating_duration_since(submitted)));
+        self.pushed += 1;
+    }
+
+    /// Adds the tally to the shared series: one add per bucket run and one
+    /// sum per histogram, the service time once with the count of pushed
+    /// requests, and the group's answer stamp to the throughput window.
+    pub(crate) fn flush(self) {
+        let n = self.pushed;
+        if n == 0 {
+            return;
+        }
+        let stats = self.stats;
+        self.latency.flush();
+        self.queue_wait.flush();
+        let service = micros(self.answered.saturating_duration_since(self.dispatched));
+        stats
+            .service
+            .record_run(stats.service.bucket_of(service), n, service * n as f64);
+        stats.first_completed.get_or_init(|| self.answered);
+        // Relaxed: a monotone high-water mark read by snapshots; statistics
+        // tolerate a slightly stale value and nothing else piggybacks on it.
+        stats.last_completed_nanos.fetch_max(
+            self.answered
+                .saturating_duration_since(stats.started)
+                .as_nanos() as u64,
+            Ordering::Relaxed, // Relaxed: see above.
+        );
+    }
+}
+
+/// A duration in the latency histograms' unit, microseconds.
+fn micros(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e6
+}
+
+/// One histogram's share of a task group, tallied on the worker's stack.
+/// Values arrive in submission order, so their buckets come in runs; each
+/// run reaches the shared histogram as one add when it ends, and the
+/// group's sum goes with the last one.
+struct BucketRuns<'a> {
+    hist: &'a LogHistogram,
+    /// The open run: its bucket and how many values fell in it.
+    run: Option<(usize, u64)>,
+    sum: f64,
+}
+
+impl<'a> BucketRuns<'a> {
+    fn new(hist: &'a LogHistogram) -> Self {
+        Self {
+            hist,
+            run: None,
+            sum: 0.0,
+        }
+    }
+
+    fn push(&mut self, value: f64) {
+        let bucket = self.hist.bucket_of(value);
+        self.sum += value;
+        match &mut self.run {
+            Some((open, n)) if *open == bucket => *n += 1,
+            run => {
+                if let Some((ended, n)) = run.replace((bucket, 1)) {
+                    self.hist.record_run(ended, n, 0.0);
+                }
+            }
+        }
+    }
+
+    fn flush(self) {
+        if let Some((bucket, n)) = self.run {
+            self.hist.record_run(bucket, n, self.sum);
+        }
+    }
+}
+
 /// Point-in-time server statistics.
 #[derive(Debug, Clone)]
 pub struct StatsSnapshot {
@@ -409,16 +524,43 @@ impl std::fmt::Display for StatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+    use rbnn_telemetry::metrics::{LATENCY_BUCKETS, LATENCY_GROWTH};
+
+    /// Accounts one group of requests submitted at `submitted`.
+    fn record(
+        stats: &ServerStats,
+        submitted: &[Instant],
+        dispatched: Instant,
+        answered: Instant,
+    ) -> u64 {
+        let mut group = stats.record_group(submitted.len() as u64, dispatched, answered);
+        let first = group.first();
+        for &s in submitted {
+            group.push(s);
+        }
+        group.flush();
+        first
+    }
+
+    /// Accounts a one-request group answered `latency` after its
+    /// submission and dispatched at once.
+    fn complete(stats: &ServerStats, latency: Duration) -> u64 {
+        let submitted = Instant::now();
+        record(stats, &[submitted], submitted, submitted + latency)
+    }
 
     #[test]
     fn quantiles_track_recorded_latencies() {
         let stats = ServerStats::new(1);
         // 90 fast requests at ~100µs and 10 slow ones at ~10ms.
         for _ in 0..90 {
-            stats.record_completed(Duration::from_micros(100));
+            complete(&stats, Duration::from_micros(100));
         }
         for _ in 0..10 {
-            stats.record_completed(Duration::from_millis(10));
+            complete(&stats, Duration::from_millis(10));
         }
         let p50 = stats.latency_quantile(0.5);
         let p99 = stats.latency_quantile(0.99);
@@ -437,8 +579,8 @@ mod tests {
         stats.record_submitted();
         stats.record_rejected();
         stats.record_batch(0, 2, 64);
-        stats.record_completed(Duration::from_micros(50));
-        stats.record_completed(Duration::from_micros(50));
+        complete(&stats, Duration::from_micros(50));
+        complete(&stats, Duration::from_micros(50));
         let snap = stats.snapshot(3);
         assert_eq!(snap.submitted, 2);
         assert_eq!(snap.completed, 2);
@@ -461,17 +603,20 @@ mod tests {
     #[test]
     fn split_components_feed_their_own_histograms() {
         let stats = ServerStats::new(1);
-        // Queue-dominated requests: 9ms wait, 1ms service.
-        for _ in 0..50 {
-            let ordinal = stats.record_completed_split(
-                Duration::from_millis(10),
-                Duration::from_millis(9),
-                Duration::from_millis(1),
-            );
-            assert!(ordinal >= 1);
+        // Queue-dominated requests: 9ms wait, 1ms service, in five groups
+        // of ten.
+        let submitted = Instant::now();
+        let dispatched = submitted + Duration::from_millis(9);
+        let answered = submitted + Duration::from_millis(10);
+        for group in 0..5u64 {
+            let first = record(&stats, &[submitted; 10], dispatched, answered);
+            assert_eq!(first, 1 + 10 * group);
         }
         let snap = stats.snapshot(0);
         assert_eq!(snap.completed, 50);
+        for hist in [&stats.latency, &stats.queue_wait, &stats.service] {
+            assert_eq!(hist.count(), 50);
+        }
         // Each component's percentile tracks its own distribution, and the
         // split preserves the ordering queue ≫ service.
         let q = snap.queue_p50.as_secs_f64() * 1e3;
@@ -481,20 +626,113 @@ mod tests {
         // End-to-end p50 still reflects the full latency.
         let e2e = snap.p50.as_secs_f64() * 1e3;
         assert!((9.5..=10.5).contains(&e2e), "e2e p50 {e2e}ms");
+        // The service time is recorded once per group with a count of ten,
+        // so its sum is the per-request sum.
+        assert!((stats.service.sum() - 50.0 * 1e3).abs() < 1e-6);
     }
 
     #[test]
     fn completion_ordinal_counts_all_completions() {
-        // record_completed and record_completed_split share one ordinal
-        // sequence — the server's 1-in-N span sampler depends on it.
+        // Groups share one ordinal sequence — the server's 1-in-N span
+        // sampler gives the k-th request of a group ordinal `first + k`.
         let stats = ServerStats::new(1);
-        stats.record_completed(Duration::from_micros(10));
-        let ordinal = stats.record_completed_split(
-            Duration::from_micros(10),
-            Duration::from_micros(5),
-            Duration::from_micros(5),
+        let t = Instant::now();
+        let first = record(&stats, &[t; 3], t, t + Duration::from_micros(5));
+        let second = record(&stats, &[t; 2], t, t + Duration::from_micros(5));
+        assert_eq!((first, second), (1, 4));
+        let ordinals: Vec<u64> = (first..first + 3).chain(second..second + 2).collect();
+        assert_eq!(ordinals, (1..=5).collect::<Vec<_>>());
+        assert_eq!(stats.snapshot(0).completed, 5);
+        // An empty group completes nothing.
+        assert_eq!(record(&stats, &[], t, t), 6);
+        let snap = stats.snapshot(0);
+        assert_eq!(snap.completed, 5);
+        assert_eq!(stats.histogram_counts(), [5; 3]);
+    }
+
+    #[test]
+    fn queue_wait_and_service_add_up_to_latency_exactly() {
+        let stats = ServerStats::new(1);
+        let t0 = Instant::now();
+        let submitted: Vec<Instant> = (0..7u64)
+            .map(|i| t0 + Duration::from_nanos(i * 1_337))
+            .collect();
+        let dispatched = t0 + Duration::from_micros(20);
+        let answered = dispatched + Duration::from_micros(13);
+        record(&stats, &submitted, dispatched, answered);
+        let per_value = ServerStats::new(1);
+        for &s in &submitted {
+            let latency = answered - s;
+            let queue_wait = dispatched - s;
+            assert_eq!(queue_wait + (answered - dispatched), latency);
+            per_value.latency.record(latency);
+            per_value.queue_wait.record(queue_wait);
+        }
+        assert_eq!(
+            stats.latency.bucket_counts(),
+            per_value.latency.bucket_counts()
         );
-        assert_eq!(ordinal, 2);
+        assert_eq!(
+            stats.queue_wait.bucket_counts(),
+            per_value.queue_wait.bucket_counts()
+        );
+        assert_eq!(stats.service.count(), 7);
+    }
+
+    /// The values one test set draws: zero, values at or below one unit,
+    /// every exact bucket bound `1.05^i`, values past the top bucket and
+    /// seeded log-uniform values.
+    fn edge_values(rng: &mut StdRng) -> Vec<f64> {
+        let mut values = vec![0.0, 1e-9, 0.25, 0.999_999, 1.0, 1e12, 1e15];
+        values.extend((0..LATENCY_BUCKETS as i32 + 3).map(|i| LATENCY_GROWTH.powi(i)));
+        values.extend((0..LATENCY_BUCKETS).map(|i| LATENCY_GROWTH.powf(i as f64)));
+        values.extend((0..500).map(|_| 10f64.powf(rng.gen_range(-1.0..10.0))));
+        values
+    }
+
+    #[test]
+    fn flushed_runs_match_per_value_records() {
+        let mut rng = StdRng::seed_from_u64(0x6E0);
+        for case in 0..8 {
+            let mut values = edge_values(&mut rng);
+            match case % 4 {
+                0 => values.sort_by(f64::total_cmp),
+                1 => values.sort_by(|a, b| b.total_cmp(a)),
+                2 => values.shuffle(&mut rng),
+                // Long runs: every value repeated a seeded number of times.
+                _ => {
+                    values = values
+                        .iter()
+                        .flat_map(|&v| std::iter::repeat_n(v, rng.gen_range(1..6)))
+                        .collect();
+                }
+            }
+            let grouped = LogHistogram::latency();
+            let per_value = LogHistogram::latency();
+            // Groups of seeded sizes, as dispatches cut them.
+            let mut rest = values.as_slice();
+            while !rest.is_empty() {
+                let (group, tail) = rest.split_at(rng.gen_range(1..=64).min(rest.len()));
+                let mut runs = BucketRuns::new(&grouped);
+                for &v in group {
+                    runs.push(v);
+                    per_value.record_value(v);
+                }
+                runs.flush();
+                rest = tail;
+            }
+            assert_eq!(
+                grouped.bucket_counts(),
+                per_value.bucket_counts(),
+                "case {case}"
+            );
+            assert_eq!(grouped.count(), per_value.count(), "case {case}");
+            let (a, b) = (grouped.sum(), per_value.sum());
+            assert!(
+                (a - b).abs() <= 1e-9 * b.abs(),
+                "case {case}: sum {a} vs {b}"
+            );
+        }
     }
 
     #[test]
@@ -506,7 +744,7 @@ mod tests {
         // within ±2.5%, whereas the upper bound sits strictly above it.
         let stats = ServerStats::new(1);
         let lat = Duration::from_micros(1000);
-        stats.record_completed(lat);
+        complete(&stats, lat);
         for q in [0.5, 0.95, 0.99] {
             let got = stats.latency_quantile(q).as_secs_f64() * 1e6;
             let ratio = got / 1000.0;
@@ -533,7 +771,7 @@ mod tests {
         // the shared LogHistogram must keep serving these exact values.)
         for &us in &[3u64, 47, 1000, 12_345, 800_000, 5_000_000] {
             let stats = ServerStats::new(1);
-            stats.record_completed(Duration::from_micros(us));
+            complete(&stats, Duration::from_micros(us));
             let bucket = ((us as f64).ln() / 1.05f64.ln()).ceil();
             let expected_us = 1.05f64.powf(bucket - 0.5);
             let got = stats.latency_quantile(0.5);
@@ -564,7 +802,7 @@ mod tests {
         let stats = ServerStats::new(1);
         for us in [10u64, 20, 50, 100, 400, 1000, 5000, 20_000] {
             for _ in 0..7 {
-                stats.record_completed(Duration::from_micros(us));
+                complete(&stats, Duration::from_micros(us));
             }
         }
         let qs = [0.1, 0.5, 0.9, 0.95, 0.99, 1.0];
@@ -581,7 +819,7 @@ mod tests {
         // counts without double bookkeeping.
         let stats = ServerStats::new(1);
         stats.record_submitted();
-        stats.record_completed(Duration::from_micros(80));
+        complete(&stats, Duration::from_micros(80));
         let text = rbnn_telemetry::global().snapshot().render_prometheus();
         // Find this instance's series among however many servers the test
         // process has started: one submitted line with value exactly 1 is
@@ -600,13 +838,13 @@ mod tests {
         // not smear the idle period into the rate.
         let stats = ServerStats::new(1);
         std::thread::sleep(Duration::from_millis(60));
-        stats.record_completed(Duration::from_micros(100));
+        complete(&stats, Duration::from_micros(100));
         let t0 = std::time::Instant::now();
         while t0.elapsed() < Duration::from_millis(20) {
             std::hint::spin_loop();
         }
         for _ in 0..9 {
-            stats.record_completed(Duration::from_micros(100));
+            complete(&stats, Duration::from_micros(100));
         }
         let snap = stats.snapshot(0);
         assert_eq!(snap.completed, 10);
@@ -635,7 +873,7 @@ mod tests {
     fn throughput_is_zero_before_two_completions() {
         let stats = ServerStats::new(1);
         assert_eq!(stats.snapshot(0).throughput, 0.0);
-        stats.record_completed(Duration::from_micros(5));
+        complete(&stats, Duration::from_micros(5));
         assert_eq!(stats.snapshot(0).throughput, 0.0);
     }
 }

@@ -232,6 +232,22 @@ impl LogHistogram {
         self.record_value(d.as_secs_f64() * 1e6);
     }
 
+    /// Records `n` observations that all fall in `bucket` (clamped into
+    /// the top bucket, as [`bucket_of`](Self::bucket_of) clamps values)
+    /// and add `sum` units to the running sum: one `fetch_add` for a run
+    /// of equal-bucket values a caller tallied itself. A zero `sum` leaves
+    /// the running sum alone, so a caller can add a group's sum once with
+    /// one of its runs.
+    #[inline]
+    pub fn record_run(&self, bucket: usize, n: u64, sum: f64) {
+        let top = self.counts.len() - 1;
+        // Relaxed: as in `record_value`.
+        self.counts[bucket.min(top)].fetch_add(n, Ordering::Relaxed);
+        if sum != 0.0 {
+            self.sum.add(sum);
+        }
+    }
+
     /// Total observations recorded.
     pub fn count(&self) -> u64 {
         // Relaxed: bucket reads need no mutual consistency — quantiles and

@@ -76,7 +76,11 @@ pub fn xnor_popcount(a: &[u64], b: &[u64], len: usize) -> u32 {
     // partially occupied tail word is masked and counted once. Slicing to
     // `full` words here means the SIMD kernels never see tail or
     // out-of-range words.
-    let full = if len % WORD_BITS == 0 { nw } else { nw - 1 };
+    let full = if len.is_multiple_of(WORD_BITS) {
+        nw
+    } else {
+        nw - 1
+    };
     let mut count = popcount::xnor_popcount_words(&a[..full], &b[..full]);
     if full < nw {
         count += ((!(a[full] ^ b[full])) & tail_mask(len)).count_ones();
@@ -902,9 +906,9 @@ mod tests {
                 // entries must be exact.
                 let mut out = vec![u32::MAX; iw.padded_rows()];
                 iw.popcounts_into(x.as_words(), &mut out);
-                for r in 0..rows {
+                for (r, &got) in out.iter().enumerate().take(rows) {
                     let want = xnor_popcount(m.row_words(r), x.as_words(), cols);
-                    assert_eq!(out[r], want, "row {r}, {rows}×{cols}");
+                    assert_eq!(got, want, "row {r}, {rows}×{cols}");
                 }
             }
         }
@@ -1142,11 +1146,11 @@ mod tests {
             let out_len = len - kernel + 1;
             assert_eq!((m.rows(), m.cols()), (out_len, channels * kernel));
             for t in 0..out_len {
-                for c in 0..channels {
+                for (c, channel) in input.iter().enumerate() {
                     for k in 0..kernel {
                         assert_eq!(
                             m.get(t, c * kernel + k),
-                            input[c].get(t + k),
+                            channel.get(t + k),
                             "({channels},{kernel},{len}) t={t} c={c} k={k}"
                         );
                     }
@@ -1244,9 +1248,9 @@ mod tests {
     fn conv1d_windows_rows_popcount_cleanly() {
         // Word-aligned rows: the window rows must be directly usable by
         // xnor_popcount without tail-bit leakage.
-        let input = vec![BitVec::from_bools(&vec![true; 70])];
+        let input = vec![BitVec::from_bools(&[true; 70])];
         let m = BitMatrix::conv1d_windows(&input, 65);
-        let w = BitVec::from_bools(&vec![true; 65]);
+        let w = BitVec::from_bools(&[true; 65]);
         assert_eq!(xnor_popcount(m.row_words(0), w.as_words(), 65), 65);
     }
 

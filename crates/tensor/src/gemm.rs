@@ -229,6 +229,7 @@ unsafe fn microkernel_fma(ap: &[f32], btile: &[f32], kc: usize, acc: &mut [[f32;
 /// # Panics
 ///
 /// Panics if a buffer length disagrees with the stated dimensions.
+#[allow(clippy::too_many_arguments)]
 pub fn gemm(
     a: &[f32],
     a_layout: Layout,
@@ -389,7 +390,7 @@ fn run_panel(
         let jlim = NR.min(j0 + nc - jbase);
         let mut acc = [[0.0f32; NR]; MR];
         microkernel(kern, ap, &bp[jt * k * NR..(jt + 1) * k * NR], k, &mut acc);
-        for r in 0..mr {
+        for (r, acc_row) in acc.iter().enumerate().take(mr) {
             // SAFETY: `out_ptr` points at the `m × n` output buffer, which
             // outlives the thread scope. Bounds: `i0 + r < m` (r < mr) and
             // `jbase + jlim <= n`, so the `jlim`-element row slice is in
@@ -402,7 +403,7 @@ fn run_panel(
             // Explicit store loop: `copy_from_slice` lowers to an
             // out-of-line memcpy call, measurable at tens of thousands of
             // sub-64-byte row writebacks per GEMM.
-            for (o, &v) in orow.iter_mut().zip(&acc[r][..jlim]) {
+            for (o, &v) in orow.iter_mut().zip(&acc_row[..jlim]) {
                 *o = v;
             }
         }

@@ -607,7 +607,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot have shape")]
     fn from_vec_bad_len_panics() {
-        Tensor::from_vec(vec![1.0, 2.0], &[3]);
+        Tensor::from_vec(vec![1.0, 2.0], [3]);
     }
 
     #[test]
@@ -701,8 +701,8 @@ mod tests {
 
     #[test]
     fn elementwise_ops() {
-        let a = Tensor::from_vec(vec![1.0, 2.0], &[2]);
-        let b = Tensor::from_vec(vec![3.0, 4.0], &[2]);
+        let a = Tensor::from_vec(vec![1.0, 2.0], [2]);
+        let b = Tensor::from_vec(vec![3.0, 4.0], [2]);
         assert_eq!((&a + &b).as_slice(), &[4.0, 6.0]);
         assert_eq!((&a - &b).as_slice(), &[-2.0, -2.0]);
         assert_eq!((&a * &b).as_slice(), &[3.0, 8.0]);
@@ -713,13 +713,13 @@ mod tests {
 
     #[test]
     fn signum_binary_maps_zero_to_plus_one() {
-        let t = Tensor::from_vec(vec![-0.5, 0.0, 0.5], &[3]);
+        let t = Tensor::from_vec(vec![-0.5, 0.0, 0.5], [3]);
         assert_eq!(t.signum_binary().as_slice(), &[-1.0, 1.0, 1.0]);
     }
 
     #[test]
     fn reductions() {
-        let t = Tensor::from_vec(vec![1.0, -3.0, 2.0], &[3]);
+        let t = Tensor::from_vec(vec![1.0, -3.0, 2.0], [3]);
         assert_eq!(t.sum(), 0.0);
         assert_eq!(t.max(), 2.0);
         assert_eq!(t.min(), -3.0);
@@ -739,7 +739,7 @@ mod tests {
     #[test]
     fn add_scaled_axpy() {
         let mut a = Tensor::ones([3]);
-        let b = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]);
+        let b = Tensor::from_vec(vec![1.0, 2.0, 3.0], [3]);
         a.add_scaled(&b, -2.0);
         assert_eq!(a.as_slice(), &[-1.0, -3.0, -5.0]);
     }

@@ -141,9 +141,9 @@ fn binarization_semantics_pinned_across_entry_points() {
         set_forced_scalar(forced);
         let bv = BitVec::from_signs(&values);
         let bm = BitMatrix::from_signs(&values, 1, values.len());
-        let t = Tensor::from_vec(values.clone(), &[values.len()]);
+        let t = Tensor::from_vec(values.clone(), [values.len()]);
         let sig = t.signum_binary();
-        let mut sig_into = Tensor::zeros(&[values.len()]);
+        let mut sig_into = Tensor::zeros([values.len()]);
         t.signum_binary_into(&mut sig_into);
         for (i, &v) in values.iter().enumerate() {
             let expect = sign_bit(v);
@@ -183,8 +183,8 @@ fn matmul_dispatched_matches_scalar_bitwise() {
         let b_values: Vec<f32> = (0..k * n)
             .map(|_| (xorshift(&mut seed) as i64 as f32) / 1e17)
             .collect();
-        let ta = Tensor::from_vec(a_values, &[m, k]);
-        let tb = Tensor::from_vec(b_values, &[k, n]);
+        let ta = Tensor::from_vec(a_values, [m, k]);
+        let tb = Tensor::from_vec(b_values, [k, n]);
         let (scalar, dispatched) = both_modes(|| ta.matmul(&tb));
         for (i, (s, d)) in scalar
             .as_slice()

@@ -74,7 +74,7 @@ impl SignalSource for Adversarial {
         let channels = self.inner.channels();
         for (i, frame) in out[start..].chunks_exact_mut(channels).enumerate() {
             let at = self.seed ^ ((self.frame + i as u64) << 8);
-            if mix(at) % 32 == 0 {
+            if mix(at).is_multiple_of(32) {
                 for (ch, v) in frame.iter_mut().enumerate() {
                     *v = SPECIALS[(mix(at + 1 + ch as u64) % SPECIALS.len() as u64) as usize];
                 }
