@@ -33,10 +33,11 @@
 //!    worker no allocation and a window answer exactly one, its
 //!    `Vec<Prediction>`; and the worker accounts each task group once in
 //!    [`ServerStats`] — one clock read when the replay returns, one
-//!    completion add, and one flush of the latency, queue-wait and
-//!    service histograms (log-scaled, p50/p95/p99) after the group's
-//!    last answer — next to throughput, batch fill and per-replica array
-//!    counters.
+//!    completion add, one bucket count per answer in the latency and
+//!    queue-wait histograms, and one add of their sums and of the
+//!    service time after the group's last answer (log-scaled,
+//!    p50/p95/p99) — next to throughput, batch fill and per-replica
+//!    array counters.
 //!
 //! The runtime is *self-healing*: a replica that panics is retired,
 //! answered with a retryable [`ServeError::EngineFault`], and respawned

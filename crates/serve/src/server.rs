@@ -1190,9 +1190,9 @@ fn serve_batch(
         samples_total += samples;
         senses_total += senses;
         // The group is accounted once: its completions count now, so the
-        // span sampler knows each request's ordinal, and its times are
-        // tallied on this stack as the requests are answered and flushed
-        // after the last answer.
+        // span sampler knows each request's ordinal; each answer counts
+        // its times in their buckets, and the group's sums and service
+        // time land after the last answer.
         let requests = batch.iter().filter(|r| pending_for(r, task)).count();
         let mut group = shared
             .stats
@@ -1210,7 +1210,10 @@ fn serve_batch(
                 Payload::One(_) => Prediction::from_row(out).map(Reply::One),
                 Payload::Window(_) => window_predictions(out, classes).map(Reply::Many),
             };
-            // Start and swap refuse models wider than a `Prediction` holds.
+            // Start and swap refuse models wider than a `Prediction` holds
+            // (`check_classes`), and the width is the group's, so this
+            // branch is never taken: every request `record_group` counted
+            // as completed is answered below.
             let Some(reply) = reply else {
                 request.reply.fail(ServeError::TooManyClasses {
                     max: MAX_CLASSES,

@@ -13,10 +13,13 @@
 //! A worker accounts a dispatched task group once, not once per request:
 //! one clock read when the group's replay returns ends every request's
 //! latency, so queue wait + service = latency exactly. The completion
-//! count moves once per group before its answers go out; the group's
-//! times are tallied on the worker's stack as bucket runs while it
-//! answers, then reach the shared histograms as one add per run and one
-//! sum per histogram.
+//! count moves once per group before its answers go out. As each request
+//! is answered, its latency and queue wait are counted in their buckets
+//! and added to sums on the worker's stack; after the group's last
+//! answer each sum reaches its shared histogram once and the service
+//! time is recorded once with a count of the group's size, so the shared
+//! float sums (a compare-and-swap loop both workers contend on) move once
+//! per group, not once per request.
 //!
 //! Every series a `ServerStats` collects is simultaneously registered on
 //! the process-wide [`rbnn_telemetry::global`] registry under a unique
@@ -216,9 +219,8 @@ impl ServerStats {
     /// its replay returned. The group's `n` completions count at once, so
     /// its requests' completion ordinals are known before they are
     /// answered (the server samples spans by them); their times are
-    /// tallied on the caller's stack as they are answered
-    /// ([`GroupTally::push`]) and reach the shared histograms in one
-    /// [`GroupTally::flush`].
+    /// counted as they are answered ([`GroupTally::push`]) and the
+    /// group's sums and service time land in one [`GroupTally::flush`].
     pub(crate) fn record_group(
         &self,
         n: u64,
@@ -230,9 +232,9 @@ impl ServerStats {
             first: self.completed.add(n) - n + 1,
             dispatched,
             answered,
-            latency: BucketRuns::new(&self.latency),
-            queue_wait: BucketRuns::new(&self.queue_wait),
             pushed: 0,
+            latency_sum: 0.0,
+            queue_wait_sum: 0.0,
         }
     }
 
@@ -345,9 +347,9 @@ pub(crate) struct GroupTally<'a> {
     first: u64,
     dispatched: Instant,
     answered: Instant,
-    latency: BucketRuns<'a>,
-    queue_wait: BucketRuns<'a>,
     pushed: u64,
+    latency_sum: f64,
+    queue_wait_sum: f64,
 }
 
 impl GroupTally<'_> {
@@ -357,30 +359,32 @@ impl GroupTally<'_> {
         self.first
     }
 
-    /// Tallies one answered request submitted at `submitted`.
+    /// Counts one answered request submitted at `submitted` in the latency
+    /// and queue-wait buckets and adds its times to the group's sums.
     pub(crate) fn push(&mut self, submitted: Instant) {
-        self.latency
-            .push(micros(self.answered.saturating_duration_since(submitted)));
-        self.queue_wait
-            .push(micros(self.dispatched.saturating_duration_since(submitted)));
+        let latency = micros(self.answered.saturating_duration_since(submitted));
+        let queue_wait = micros(self.dispatched.saturating_duration_since(submitted));
+        self.stats.latency.count_value(latency, 1);
+        self.stats.queue_wait.count_value(queue_wait, 1);
+        self.latency_sum += latency;
+        self.queue_wait_sum += queue_wait;
         self.pushed += 1;
     }
 
-    /// Adds the tally to the shared series: one add per bucket run and one
-    /// sum per histogram, the service time once with the count of pushed
-    /// requests, and the group's answer stamp to the throughput window.
+    /// Adds the group's sums to the shared histograms, records the service
+    /// time once with the count of pushed requests, and adds the group's
+    /// answer stamp to the throughput window.
     pub(crate) fn flush(self) {
         let n = self.pushed;
         if n == 0 {
             return;
         }
         let stats = self.stats;
-        self.latency.flush();
-        self.queue_wait.flush();
+        stats.latency.add_sum(self.latency_sum);
+        stats.queue_wait.add_sum(self.queue_wait_sum);
         let service = micros(self.answered.saturating_duration_since(self.dispatched));
-        stats
-            .service
-            .record_run(stats.service.bucket_of(service), n, service * n as f64);
+        stats.service.count_value(service, n);
+        stats.service.add_sum(service * n as f64);
         stats.first_completed.get_or_init(|| self.answered);
         // Relaxed: a monotone high-water mark read by snapshots; statistics
         // tolerate a slightly stale value and nothing else piggybacks on it.
@@ -396,46 +400,6 @@ impl GroupTally<'_> {
 /// A duration in the latency histograms' unit, microseconds.
 fn micros(d: Duration) -> f64 {
     d.as_secs_f64() * 1e6
-}
-
-/// One histogram's share of a task group, tallied on the worker's stack.
-/// Values arrive in submission order, so their buckets come in runs; each
-/// run reaches the shared histogram as one add when it ends, and the
-/// group's sum goes with the last one.
-struct BucketRuns<'a> {
-    hist: &'a LogHistogram,
-    /// The open run: its bucket and how many values fell in it.
-    run: Option<(usize, u64)>,
-    sum: f64,
-}
-
-impl<'a> BucketRuns<'a> {
-    fn new(hist: &'a LogHistogram) -> Self {
-        Self {
-            hist,
-            run: None,
-            sum: 0.0,
-        }
-    }
-
-    fn push(&mut self, value: f64) {
-        let bucket = self.hist.bucket_of(value);
-        self.sum += value;
-        match &mut self.run {
-            Some((open, n)) if *open == bucket => *n += 1,
-            run => {
-                if let Some((ended, n)) = run.replace((bucket, 1)) {
-                    self.hist.record_run(ended, n, 0.0);
-                }
-            }
-        }
-    }
-
-    fn flush(self) {
-        if let Some((bucket, n)) = self.run {
-            self.hist.record_run(bucket, n, self.sum);
-        }
-    }
 }
 
 /// Point-in-time server statistics.
@@ -676,7 +640,14 @@ mod tests {
             stats.queue_wait.bucket_counts(),
             per_value.queue_wait.bucket_counts()
         );
+        for (grouped, single) in [
+            (&stats.latency, &per_value.latency),
+            (&stats.queue_wait, &per_value.queue_wait),
+        ] {
+            assert!((grouped.sum() - single.sum()).abs() <= 1e-9 * single.sum());
+        }
         assert_eq!(stats.service.count(), 7);
+        assert!((stats.service.sum() - 7.0 * 13.0).abs() < 1e-9);
     }
 
     /// The values one test set draws: zero, values at or below one unit,
@@ -691,47 +662,53 @@ mod tests {
     }
 
     #[test]
-    fn flushed_runs_match_per_value_records() {
+    fn group_tallies_match_per_value_records() {
+        // A group tallies its latencies and queue waits one count per
+        // value with the sum added once, and its service time as one
+        // value counted with the group's size. Either must match recording
+        // every value on its own.
         let mut rng = StdRng::seed_from_u64(0x6E0);
-        for case in 0..8 {
+        for case in 0..6 {
             let mut values = edge_values(&mut rng);
-            match case % 4 {
+            match case % 3 {
                 0 => values.sort_by(f64::total_cmp),
                 1 => values.sort_by(|a, b| b.total_cmp(a)),
-                2 => values.shuffle(&mut rng),
-                // Long runs: every value repeated a seeded number of times.
-                _ => {
-                    values = values
-                        .iter()
-                        .flat_map(|&v| std::iter::repeat_n(v, rng.gen_range(1..6)))
-                        .collect();
-                }
+                _ => values.shuffle(&mut rng),
             }
-            let grouped = LogHistogram::latency();
+            let counted = LogHistogram::latency();
+            let per_group = LogHistogram::latency();
             let per_value = LogHistogram::latency();
+            let per_value_of_group = LogHistogram::latency();
             // Groups of seeded sizes, as dispatches cut them.
             let mut rest = values.as_slice();
-            while !rest.is_empty() {
+            while let Some(&shared) = rest.first() {
                 let (group, tail) = rest.split_at(rng.gen_range(1..=64).min(rest.len()));
-                let mut runs = BucketRuns::new(&grouped);
+                let mut sum = 0.0;
                 for &v in group {
-                    runs.push(v);
+                    counted.count_value(v, 1);
+                    sum += v;
                     per_value.record_value(v);
+                    per_value_of_group.record_value(shared);
                 }
-                runs.flush();
+                counted.add_sum(sum);
+                let n = group.len() as u64;
+                per_group.count_value(shared, n);
+                per_group.add_sum(shared * n as f64);
                 rest = tail;
             }
-            assert_eq!(
-                grouped.bucket_counts(),
-                per_value.bucket_counts(),
-                "case {case}"
-            );
-            assert_eq!(grouped.count(), per_value.count(), "case {case}");
-            let (a, b) = (grouped.sum(), per_value.sum());
-            assert!(
-                (a - b).abs() <= 1e-9 * b.abs(),
-                "case {case}: sum {a} vs {b}"
-            );
+            for (grouped, single) in [(&counted, &per_value), (&per_group, &per_value_of_group)] {
+                assert_eq!(
+                    grouped.bucket_counts(),
+                    single.bucket_counts(),
+                    "case {case}"
+                );
+                assert_eq!(grouped.count(), single.count(), "case {case}");
+                let (a, b) = (grouped.sum(), single.sum());
+                assert!(
+                    (a - b).abs() <= 1e-9 * b.abs(),
+                    "case {case}: sum {a} vs {b}"
+                );
+            }
         }
     }
 

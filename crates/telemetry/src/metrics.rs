@@ -220,10 +220,8 @@ impl LogHistogram {
     /// Records one observation of `value` units.
     #[inline]
     pub fn record_value(&self, value: f64) {
-        // Relaxed: each bucket is an independent event counter; a scrape
-        // racing a record may miss the newest sample, which is fine.
-        self.counts[self.bucket_of(value)].fetch_add(1, Ordering::Relaxed);
-        self.sum.add(value);
+        self.count_value(value, 1);
+        self.add_sum(value);
     }
 
     /// Records one duration (microsecond unit).
@@ -232,20 +230,20 @@ impl LogHistogram {
         self.record_value(d.as_secs_f64() * 1e6);
     }
 
-    /// Records `n` observations that all fall in `bucket` (clamped into
-    /// the top bucket, as [`bucket_of`](Self::bucket_of) clamps values)
-    /// and add `sum` units to the running sum: one `fetch_add` for a run
-    /// of equal-bucket values a caller tallied itself. A zero `sum` leaves
-    /// the running sum alone, so a caller can add a group's sum once with
-    /// one of its runs.
+    /// Counts `n` observations of `value` units in its bucket but leaves
+    /// the running sum to [`add_sum`](Self::add_sum), so a caller that
+    /// counts values one by one can add their sum once.
     #[inline]
-    pub fn record_run(&self, bucket: usize, n: u64, sum: f64) {
-        let top = self.counts.len() - 1;
-        // Relaxed: as in `record_value`.
-        self.counts[bucket.min(top)].fetch_add(n, Ordering::Relaxed);
-        if sum != 0.0 {
-            self.sum.add(sum);
-        }
+    pub fn count_value(&self, value: f64, n: u64) {
+        // Relaxed: each bucket is an independent event counter; a scrape
+        // racing a record may miss the newest sample, which is fine.
+        self.counts[self.bucket_of(value)].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Adds `sum` units to the running sum of the counted values.
+    #[inline]
+    pub fn add_sum(&self, sum: f64) {
+        self.sum.add(sum);
     }
 
     /// Total observations recorded.
