@@ -35,11 +35,6 @@ impl Fig8Curve {
     pub fn final_top1(&self) -> f32 {
         self.top1.last().map(|&(_, a)| a).unwrap_or(0.0)
     }
-
-    /// Final top-5 accuracy.
-    pub fn final_top5(&self) -> f32 {
-        self.top5.last().map(|&(_, a)| a).unwrap_or(0.0)
-    }
 }
 
 /// The reproduced Fig 8 data.

@@ -4,8 +4,12 @@
 //! and freezes the result: fused steps with resolved arena regions, folded
 //! thresholds, and affine parameters. A worker then replays the plan for
 //! any batch of up to `max_batch` rows via
-//! [`ExecPlan::replay_rows`], which touches only caller-provided storage
-//! ([`PlanBuffers`] and the output slice). The replay functions in this
+//! [`ExecPlan::replay_rows`] (float rows) or [`ExecPlan::replay_packed`]
+//! (rows whose sign bits the caller already wrote into the plan's packed
+//! input region), touching only caller-provided storage ([`PlanBuffers`]
+//! and the output slice). `replay_rows` is [`pack_rows`] followed by
+//! `replay_packed`, so every replay runs the same fused steps over the
+//! same packed words. The replay functions in this
 //! module form an `analysis.toml` zero-alloc zone (RA0005): no heap
 //! operation is permitted between a request arriving and its logits being
 //! written.
@@ -64,7 +68,9 @@ impl Region {
 /// replay never recomputes them.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Step {
-    /// Binarize + pack the float input rows into `dst`.
+    /// Binarize + pack the float input rows into `dst`: the plan's packed
+    /// input region ([`ExecPlan::input`]). Replay from packed rows
+    /// ([`ExecPlan::replay_packed`]) starts after it.
     Pack {
         /// Packed-input region.
         dst: Region,
@@ -261,8 +267,21 @@ impl ExecPlan {
         self.out_features
     }
 
+    /// The packed input region: where [`Step::Pack`] writes each row's
+    /// sign bits and the first fused step reads them. Callers that hold
+    /// rows already packed (a serve worker gathering a task group) write
+    /// them here and replay with [`replay_packed`](Self::replay_packed).
+    pub fn input(&self) -> &Region {
+        match self.steps.first() {
+            Some(Step::Pack { dst }) => dst,
+            _ => unreachable!("a compiled plan starts with its pack step"),
+        }
+    }
+
     /// Replays the plan over a batch of float feature rows, writing
-    /// `rows.len() × out_features` logits row-major into `out`.
+    /// `rows.len() × out_features` logits row-major into `out`: packs the
+    /// rows into the [`input`](Self::input) region, then runs
+    /// [`replay_packed`](Self::replay_packed).
     ///
     /// Allocation-free: everything lives in `buffers` and `out`
     /// (`analysis.toml` zero-alloc zone). Bitwise-equal to
@@ -274,7 +293,25 @@ impl ExecPlan {
     /// `in_features`, `out` is shorter than `rows.len() * out_features`, or
     /// `buffers` was built for a smaller plan.
     pub fn replay_rows(&self, rows: &[&[f32]], buffers: &mut PlanBuffers, out: &mut [f32]) {
-        let n = rows.len();
+        assert!(rows.len() <= self.max_batch, "batch exceeds plan capacity");
+        pack_rows(rows, self.input(), &mut buffers.arena);
+        self.replay_packed(rows.len(), buffers, out);
+    }
+
+    /// Runs the plan's fused steps over the first `n` rows of the packed
+    /// [`input`](Self::input) region, writing `n × out_features` logits
+    /// row-major into `out`. [`Step::Pack`] only describes that region
+    /// here: the caller has already filled it, with [`pack_rows`] or with
+    /// words packed by the same kernel elsewhere.
+    ///
+    /// Allocation-free (`analysis.toml` zero-alloc zone). Bitwise-equal
+    /// to [`BinaryNetwork::logits`] on every row whose signs were packed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n > max_batch`, `out` is shorter than
+    /// `n * out_features`, or `buffers` was built for a smaller plan.
+    pub fn replay_packed(&self, n: usize, buffers: &mut PlanBuffers, out: &mut [f32]) {
         assert!(n <= self.max_batch, "batch exceeds plan capacity");
         assert!(
             out.len() >= n * self.out_features,
@@ -291,7 +328,7 @@ impl ExecPlan {
         let PlanBuffers { arena, counts } = buffers;
         for step in &self.steps {
             match step {
-                Step::Pack { dst } => pack_rows(rows, dst, arena),
+                Step::Pack { .. } => {}
                 Step::FusedHidden {
                     src,
                     dst,
@@ -526,6 +563,37 @@ mod tests {
         rbnn_tensor::clear_forced_scalar();
         if let Err(e) = result {
             std::panic::resume_unwind(e);
+        }
+    }
+
+    #[test]
+    fn packed_replay_is_bitwise_equal_to_float_replay() {
+        const WIDTHS: [usize; 6] = [1, 63, 64, 65, 127, 128];
+        for (i, &width) in WIDTHS.iter().enumerate() {
+            let hidden = WIDTHS[(i + 2) % WIDTHS.len()];
+            let net = random_net(&[width, hidden, 3], 0x9AC + i as u64);
+            for max_batch in [1usize, 7, 64] {
+                let plan = ExecPlan::compile(&net, max_batch);
+                let mut float_buffers = plan.buffers();
+                let mut packed_buffers = plan.buffers();
+                // A full batch, then a partial one over the now-dirty arena.
+                for n in [max_batch, max_batch.div_ceil(2)] {
+                    let rows = random_rows(n, width, (max_batch * 131 + n) as u64);
+                    let refs: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
+                    let mut float_out = vec![0.0f32; n * 3];
+                    plan.replay_rows(&refs, &mut float_buffers, &mut float_out);
+
+                    pack_rows(&refs, plan.input(), packed_buffers.arena_mut());
+                    let mut packed_out = vec![0.0f32; n * 3];
+                    plan.replay_packed(n, &mut packed_buffers, &mut packed_out);
+                    assert_eq!(
+                        bits(&packed_out),
+                        bits(&float_out),
+                        "width {width}, max_batch {max_batch}, batch {n}"
+                    );
+                    assert_eq!(bits(&float_out), bits(&oracle(&net, &rows)));
+                }
+            }
         }
     }
 

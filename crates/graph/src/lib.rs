@@ -20,8 +20,12 @@
 //!    offset 0, odd buffers right after the widest even one.
 //! 2. **Replay** ([`ExecPlan::replay_rows`]) — a compiled `(model,
 //!    max_batch)` plan streams packed words through the runtime-dispatched
-//!    `rbnn-tensor` kernels into caller-provided buffers. The replay path is
-//!    a zero-alloc zone enforced by `analysis.toml` (RA0005).
+//!    `rbnn-tensor` kernels into caller-provided buffers. `replay_rows`
+//!    packs float rows into the plan's input region ([`ExecPlan::input`])
+//!    and calls [`ExecPlan::replay_packed`], the fused steps alone, which a
+//!    caller holding rows already packed (a serve worker) calls directly.
+//!    The replay path is a zero-alloc zone enforced by `analysis.toml`
+//!    (RA0005).
 //!
 //! The plan is the workspace's only batched inference path: serve workers
 //! and the RRAM fabric replay it per batch, and offline callers evaluate

@@ -203,17 +203,6 @@ pub fn evaluate(model: &mut dyn Layer, data: Labelled<'_>, batch_size: usize) ->
     metrics::accuracy(&logits, data.y)
 }
 
-/// Evaluates top-k accuracy of `model` on a labelled set.
-pub fn evaluate_top_k(
-    model: &mut dyn Layer,
-    data: Labelled<'_>,
-    batch_size: usize,
-    k: usize,
-) -> f32 {
-    let logits = predict_logits(model, data.x, batch_size);
-    metrics::top_k_accuracy(&logits, data.y, k)
-}
-
 /// Trains `model` on `train` with softmax cross-entropy, optionally
 /// evaluating on `val`, and returns the per-epoch [`History`].
 ///

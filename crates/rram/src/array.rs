@@ -309,17 +309,6 @@ impl RramArray {
         out
     }
 
-    /// Reads one word line with per-column XNOR inputs (Fig 3(b)/Fig 5):
-    /// returns the column-wise `XNOR(weight, input)` bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len() != cols`.
-    pub fn xnor_read_row(&mut self, row: usize, input: &BitVec) -> BitVec {
-        assert_eq!(input.len(), self.cols, "input width mismatch");
-        self.read_row(row).xnor(input)
-    }
-
     /// One fully-connected-layer partial sum (Fig 5): XNOR-read row `row`
     /// against `input` and popcount the result in the shared logic.
     pub fn xnor_popcount_row(&mut self, row: usize, input: &BitVec) -> u32 {

@@ -1,7 +1,9 @@
 //! Execution-plan replay on the simulated RRAM fabric.
 //!
-//! [`NetworkEngine::replay_plan`] walks a compiled
-//! [`ExecPlan`](rbnn_graph::ExecPlan)'s fused steps and maps each onto the
+//! [`NetworkEngine::replay_packed`] walks a compiled
+//! [`ExecPlan`](rbnn_graph::ExecPlan)'s fused steps over rows already
+//! packed into the plan's input region ([`NetworkEngine::replay_plan`]
+//! packs float rows there first) and maps each step onto the
 //! partitioned-array tile dispatch of [`DenseEngine`](crate::DenseEngine):
 //! a fused hidden step becomes one batched tile sweep
 //! ([`popcounts_batch`](crate::DenseEngine::popcounts_batch) — per-column
@@ -29,7 +31,8 @@ use rbnn_tensor::BitVec;
 impl NetworkEngine {
     /// Replays a compiled execution plan over a batch of float feature
     /// rows on the array fabric, writing `rows.len() × out_features`
-    /// logits row-major into `out`.
+    /// logits row-major into `out`: packs the rows into the plan's input
+    /// region, then runs [`replay_packed`](Self::replay_packed).
     ///
     /// The plan must have been compiled from the same network this engine
     /// was programmed with (checked by layer count and widths). Sensing is
@@ -47,7 +50,30 @@ impl NetworkEngine {
         buffers: &mut PlanBuffers,
         out: &mut [f32],
     ) {
-        let n = rows.len();
+        assert!(
+            rows.len() <= plan.max_batch(),
+            "batch exceeds plan capacity"
+        );
+        pack_rows(rows, plan.input(), buffers.arena_mut());
+        self.replay_packed(plan, rows.len(), buffers, out);
+    }
+
+    /// Runs a compiled plan's fused steps on the array fabric over the
+    /// first `n` rows of its packed input region
+    /// ([`ExecPlan::input`]), which the caller has already filled,
+    /// writing `n × out_features` logits row-major into `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan does not match the programmed network, `n`
+    /// exceeds the plan capacity, or `out` is too short.
+    pub fn replay_packed(
+        &mut self,
+        plan: &ExecPlan,
+        n: usize,
+        buffers: &mut PlanBuffers,
+        out: &mut [f32],
+    ) {
         assert_eq!(
             plan.steps().len(),
             self.layers().len() + 1,
@@ -72,7 +98,7 @@ impl NetworkEngine {
         let before = rbnn_telemetry::enabled().then(|| self.stats().senses);
         for step in plan.steps() {
             match step {
-                Step::Pack { dst } => pack_rows(rows, dst, buffers.arena_mut()),
+                Step::Pack { .. } => {}
                 Step::FusedHidden {
                     layer,
                     src,

@@ -8,27 +8,32 @@
 //!
 //! Request lifecycle:
 //!
-//! 1. a client submits one or more feature vectors for a task — every
-//!    entry point ([`ServeHandle::classify`], [`TaskClient::enqueue`], …)
-//!    wraps the one primitive [`TaskClient::submit`]; the request is
-//!    validated against the registered feature width and enqueued on a
-//!    bounded MPMC queue ([`queue::BoundedQueue`]) — a full queue sheds
-//!    the request with [`ServeError::Overloaded`] under the default
-//!    [`AdmissionPolicy::Shed`], or blocks the caller (backpressure) under
-//!    [`AdmissionPolicy::Block`];
+//! 1. a client submits one feature vector for a task
+//!    ([`TaskClient::enqueue`], which packs its sign bits on the client's
+//!    thread and queues only the packed words; [`TaskClient::classify`]
+//!    and [`ServeHandle::classify`] wrap it) or a shared window of them
+//!    ([`TaskClient::submit`], [`TaskClient::enqueue_shared`]); the
+//!    request is validated against the registered feature width and
+//!    enqueued on a bounded MPMC queue ([`queue::BoundedQueue`]) — a full
+//!    queue sheds the request with [`ServeError::Overloaded`] under the
+//!    default [`AdmissionPolicy::Shed`], or blocks the caller
+//!    (backpressure) under [`AdmissionPolicy::Block`];
 //! 2. a worker pulls a micro-batch through the adaptive [`Batcher`] into
 //!    its reused request buffer (dispatch immediately when the queue is
 //!    deep, linger briefly for stragglers when it is not);
-//! 3. the worker groups the batch by task in place and replays its
-//!    cached compiled [`rbnn_graph::ExecPlan`] —
-//!    [`rbnn_graph::ExecPlan::replay_rows`] on
-//!    the software backend, [`rbnn_rram::NetworkEngine::replay_plan`] on
-//!    the margin-gated RRAM backend (deterministic senses short-circuit,
-//!    marginal cells stay Monte-Carlo) — on its own engine replica
-//!    (replicas, not shared engines: PCSA reads need `&mut self`);
+//! 3. the worker groups the batch by task in place, gathers each group
+//!    into its cached compiled [`rbnn_graph::ExecPlan`]'s packed input
+//!    region (copying a single's words, packing a window's rows), and
+//!    replays the plan's fused steps over it —
+//!    [`rbnn_graph::ExecPlan::replay_packed`] on the software backend,
+//!    [`rbnn_rram::NetworkEngine::replay_packed`] on the margin-gated
+//!    RRAM backend (deterministic senses short-circuit, marginal cells
+//!    stay Monte-Carlo) — on its own engine replica (replicas, not shared
+//!    engines: PCSA reads need `&mut self`);
 //! 4. each request's one-shot reply slot delivers its answer (the worker
 //!    wakes the client only if it is parked on the slot) together with
-//!    the request's rows, which the client frees: a [`Prediction`] holds
+//!    the request's payload (its packed row or its window), which the
+//!    client frees: a [`Prediction`] holds
 //!    its logits inline ([`Logits`]), so a single-sample answer costs the
 //!    worker no allocation and a window answer exactly one, its
 //!    `Vec<Prediction>`; and the worker accounts each task group once in

@@ -1,13 +1,13 @@
 //! One-shot reply slots: how a worker hands each request its answer — and
 //! the request's memory back to the thread that made it.
 //!
-//! A slot is one `Arc` holding a `Mutex` over the answer and a `Condvar`.
-//! The worker keeps the [`ReplyTx`] half inside the queued request; the
-//! client keeps the [`ReplyRx`] half inside its ticket. The client
-//! allocates the slot when it submits and frees it when it collects the
-//! answer; the worker only fills it, and notifies the condvar only when
-//! the client has recorded that it is parked — a client that collects its
-//! answer after it landed costs the worker no wake-up syscall.
+//! A slot is one `Arc` holding a `Mutex` over the answer. The worker keeps
+//! the [`ReplyTx`] half inside the queued request; the client keeps the
+//! [`ReplyRx`] half inside its ticket. The client allocates the slot when
+//! it submits and frees it when it collects the answer; the worker only
+//! fills it, and unparks the client only when the client has recorded
+//! that it is parked — a client that collects its answer after it landed
+//! costs the worker no wake-up syscall.
 //!
 //! Answering moves memory *to* the client, never frees it on the worker:
 //!
@@ -16,19 +16,25 @@
 //!   ([`Reply::One`]) with no allocation, and a window answer is one
 //!   `Vec<Prediction>` ([`Reply::Many`]) — the only allocation answering
 //!   makes, freed by the client with the answer;
-//! * the request's [`Payload`] (the feature rows the client submitted)
-//!   travels back in the same slot, and [`ReplyRx::wait`] /
-//!   [`ReplyRx::poll`] drop it on the client thread after taking the
-//!   answer. A buffer allocated on one thread and freed on another takes
-//!   the allocator's cross-thread path, which dominated the merged
-//!   single-sample serve path before this hand-back.
+//! * the request's [`Payload`] travels back in the same slot, and
+//!   [`ReplyRx::wait`] / [`ReplyRx::poll`] drop it on the client thread
+//!   after taking the answer. For a single sample that is the packed row
+//!   [`TaskClient::enqueue`](crate::TaskClient::enqueue) made from the
+//!   float row (which it freed at once, so no float row ever reaches a
+//!   worker); for a window it is the client's shared rows. A buffer
+//!   allocated on one thread and freed on another takes the allocator's
+//!   cross-thread path, which dominated the merged single-sample serve
+//!   path before this hand-back.
 //!
 //! Error answers ([`ReplyTx::fail`]) carry no payload: the request drops
-//! its rows where it is, on the rare failure path. The slot itself is
-//! freed by whichever half lets go last — almost always the client, since
-//! the worker drops its reference right after filling; only a client that
-//! collects and drops its ticket inside that window leaves the free to
-//! the worker.
+//! its payload where it is, on the rare failure path. The slot itself is
+//! freed by whichever half lets go last, and that is the client unless it
+//! drops its ticket unanswered. The worker lets go right after filling
+//! and *before* it wakes a parked client (the wake needs only the
+//! client's thread handle, not the slot), so a woken client finds itself
+//! the last owner. A client that finds its answer without parking may
+//! reach it in the few instructions between the worker's unlock and its
+//! release; it waits those out before letting go.
 //!
 //! The contract matches the channel the slot replaced:
 //!
@@ -38,7 +44,8 @@
 //! * once the answer has been taken, later reads see the slot as
 //!   disconnected and also report `ShuttingDown` — never a hang.
 
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::Thread;
 
 use crate::server::{Payload, Prediction, ServeError};
 
@@ -81,12 +88,12 @@ struct State {
     /// leaves `ShuttingDown` behind, so later reads see a disconnected
     /// slot.
     answer: Option<Answer>,
-    /// The request's rows, handed back with a successful answer so they
-    /// are freed by the client that allocated them.
+    /// The request's payload, handed back with a successful answer so it
+    /// is freed by the client that allocated it.
     payload: Option<Payload>,
-    /// The client is blocked in [`ReplyRx::wait`]; only then does a fill
-    /// notify the condvar.
-    parked: bool,
+    /// The client blocked in [`ReplyRx::wait`]; only then does a fill
+    /// unpark it.
+    parked: Option<Thread>,
 }
 
 impl State {
@@ -100,7 +107,6 @@ impl State {
 
 struct Slot {
     state: Mutex<State>,
-    filled: Condvar,
 }
 
 impl Slot {
@@ -127,9 +133,8 @@ pub(crate) fn slot() -> (ReplyTx, ReplyRx) {
         state: Mutex::new(State {
             answer: None,
             payload: None,
-            parked: false,
+            parked: None,
         }),
-        filled: Condvar::new(),
     });
     (
         ReplyTx {
@@ -166,12 +171,15 @@ impl ReplyTx {
         let mut state = slot.lock();
         state.answer = Some(answer);
         state.payload = payload;
-        let parked = state.parked;
+        // The client records itself under the lock before it parks, so
+        // taking it under the lock cannot miss a sleeping client.
+        let parked = state.parked.take();
         drop(state);
-        // The client records `parked` under the lock before it waits, so
-        // reading it under the lock above cannot miss a sleeping client.
-        if parked {
-            slot.filled.notify_one();
+        // Let go before the wake: a parked client still holds its half, so
+        // this never frees the slot, and the client frees it once woken.
+        drop(slot);
+        if let Some(client) = parked {
+            client.unpark();
         }
     }
 }
@@ -186,19 +194,19 @@ impl ReplyRx {
     /// Blocks until the request is answered, then frees the handed-back
     /// payload on this thread.
     pub(crate) fn wait(self) -> Answer {
-        let mut state = self.slot.lock();
         loop {
+            let mut state = self.slot.lock();
             if let Some((answer, payload)) = state.take() {
                 drop(state);
                 drop(payload);
+                self.outlast_worker();
                 return answer;
             }
-            state.parked = true;
-            state = self
-                .slot
-                .filled
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
+            state.parked = Some(std::thread::current());
+            drop(state);
+            // A wake-up meant for an earlier slot, or a spurious one, only
+            // costs another look under the lock.
+            std::thread::park();
         }
     }
 
@@ -206,7 +214,21 @@ impl ReplyRx {
     /// freed on this thread.
     pub(crate) fn poll(&self) -> Option<Answer> {
         let taken = self.slot.lock().take();
-        taken.map(|(answer, _payload)| answer)
+        let (answer, payload) = taken?;
+        drop(payload);
+        self.outlast_worker();
+        Some(answer)
+    }
+
+    /// Waits, once the answer is taken, until the worker half has let go
+    /// of the slot, so that this half frees it. A worker that woke this
+    /// client had already let go; otherwise it lets go a few instructions
+    /// after its unlock, and the client yields to it only if it was
+    /// preempted in between.
+    fn outlast_worker(&self) {
+        while Arc::strong_count(&self.slot) > 1 {
+            std::thread::yield_now();
+        }
     }
 }
 
@@ -233,7 +255,7 @@ mod tests {
     }
 
     fn payload() -> Payload {
-        Payload::One(vec![0.5; 4])
+        Payload::One(vec![0x5; 4])
     }
 
     #[test]

@@ -9,18 +9,22 @@
 //! through a [`Batcher`](crate::Batcher) into a per-worker request buffer,
 //! group them by task through a fixed index over [`ServeTask::ALL`], run
 //! the batched kernels, and answer each request through its one-shot reply
-//! slot (see [`crate::reply`]): one `Arc` holding a `Mutex` and a
-//! `Condvar`, which the worker notifies only when the client is parked on
-//! it.
+//! slot (see [`crate::reply`]): one `Arc` holding a `Mutex`; the worker
+//! lets go of it, then unparks the client only when the client is parked
+//! on it.
 //!
-//! Memory stays with the thread that made it. The client allocates the
-//! request's feature rows and its reply slot; the worker reuses its batch
-//! buffer, row-gather scratch and plan buffers across batches, and hands
-//! the request's rows back through the slot, so the client frees them. A
-//! [`Prediction`] holds its logits inline ([`Logits`]), so a single-sample
-//! answer costs the worker no allocation and an n-row window answer costs
-//! it exactly one, the `Vec<Prediction>` (`tests/serve_alloc.rs` counts
-//! both). On the success path the worker frees no client buffer.
+//! Memory stays with the thread that made it. A single-sample request
+//! never ships its float row: [`TaskClient::enqueue`] packs the row's sign
+//! bits on the submitting thread, frees the row there, and queues the
+//! packed words with a reply slot. A window request ships its shared rows
+//! as they are. The worker reuses its batch buffer and plan buffers across
+//! batches, gathers each task group straight into the plan's packed input
+//! region (copying a single's words, packing a window's rows), and hands
+//! each request's payload back through the slot, so the client frees it.
+//! A [`Prediction`] holds its logits inline ([`Logits`]), so a
+//! single-sample answer costs the worker no allocation and an n-row window
+//! answer costs it exactly one, the `Vec<Prediction>`; on the success path
+//! the worker frees nothing (`tests/serve_alloc.rs` counts both).
 //!
 //! Resilience (see also [`crate::supervisor`]): admission is governed by
 //! [`AdmissionPolicy`] (load-shed by default, with priority lanes);
@@ -40,7 +44,7 @@ use rbnn_binary::BinaryNetwork;
 use rbnn_graph::{ExecPlan, PlanBuffers};
 use rbnn_rram::{EngineConfig, NetworkEngine};
 use rbnn_telemetry::{SpanRecord, SpanRing};
-use rbnn_tensor::Tensor;
+use rbnn_tensor::{pack_signs_into, Tensor};
 
 use crate::batcher::{BatchPolicy, Batcher};
 use crate::fault::ChaosEvent;
@@ -252,31 +256,33 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// The feature rows a request asks to classify, exactly as the client
-/// submitted them: the one row [`TaskClient::enqueue`] was given, or the
-/// shared window [`TaskClient::submit`] was given. Neither is copied or
-/// re-wrapped on the way to the worker, and a successful answer hands the
-/// payload back to the client through the reply slot, so it is freed on
-/// the thread that allocated it.
+/// The samples a request asks to classify: the sign bits of the one row
+/// [`TaskClient::enqueue`] was given, packed on the submitting thread, or
+/// the shared window [`TaskClient::submit`] was given, as it is. The worker
+/// copies the packed words (or packs the window's rows) into its plan's
+/// packed input region, and a successful answer hands the payload back to
+/// the client through the reply slot, so it is freed on the thread that
+/// allocated it.
 #[derive(Debug)]
 pub(crate) enum Payload {
-    /// One sample.
-    One(Vec<f32>),
-    /// A shared window of samples.
+    /// One sample's sign bits, `width.div_ceil(64)` words in the plan's
+    /// input-row layout.
+    One(Vec<u64>),
+    /// A shared window of float samples.
     Window(Arc<Vec<Vec<f32>>>),
 }
 
 impl Payload {
-    /// The rows, in submission order.
-    fn rows(&self) -> &[Vec<f32>] {
+    /// Samples the request carries.
+    fn samples(&self) -> usize {
         match self {
-            Payload::One(row) => std::slice::from_ref(row),
-            Payload::Window(rows) => rows,
+            Payload::One(_) => 1,
+            Payload::Window(rows) => rows.len(),
         }
     }
 }
 
-/// An empty single-sample payload: what a request keeps once its rows have
+/// An empty single-sample payload: what a request keeps once its payload has
 /// been handed back (`Vec::new` does not allocate).
 impl Default for Payload {
     fn default() -> Self {
@@ -312,7 +318,7 @@ impl std::fmt::Debug for Request {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Request")
             .field("task", &self.task)
-            .field("samples", &self.payload.rows().len())
+            .field("samples", &self.payload.samples())
             .finish()
     }
 }
@@ -375,28 +381,21 @@ impl Shared {
         Ok(slot.version)
     }
 
-    /// The one enqueue path every client API funnels through
-    /// ([`TaskClient::submit`]): validates each sample against the
-    /// pre-resolved feature `width`, stamps the deadline, then pushes onto
-    /// the request's priority lane. Under [`AdmissionPolicy::Shed`] a full
-    /// queue answers [`ServeError::Overloaded`], and an urgent push may
-    /// evict the newest queued routine request (whose own reply slot
-    /// receives `Overloaded`: every accepted enqueue still reaches a
-    /// terminal verdict or typed error); under [`AdmissionPolicy::Block`]
-    /// a full queue blocks the producer (backpressure).
+    /// The one enqueue path every client API funnels through, once the
+    /// client has checked the payload's width: stamps the deadline, then
+    /// pushes onto the request's priority lane. Under
+    /// [`AdmissionPolicy::Shed`] a full queue answers
+    /// [`ServeError::Overloaded`], and an urgent push may evict the newest
+    /// queued routine request (whose own reply slot receives `Overloaded`:
+    /// every accepted enqueue still reaches a terminal verdict or typed
+    /// error); under [`AdmissionPolicy::Block`] a full queue blocks the
+    /// producer (backpressure).
     fn submit(
         &self,
         task: ServeTask,
-        width: usize,
         payload: Payload,
         opts: &SubmitOptions,
     ) -> Result<ReplyRx, ServeError> {
-        if let Some(row) = payload.rows().iter().find(|row| row.len() != width) {
-            return Err(ServeError::FeatureWidth {
-                expected: width,
-                got: row.len(),
-            });
-        }
         let (tx, rx) = reply::slot();
         let now = Instant::now();
         let request = Request {
@@ -550,26 +549,48 @@ impl TaskClient {
         rows: Arc<Vec<Vec<f32>>>,
         opts: &SubmitOptions,
     ) -> Result<PendingWindow, ServeError> {
-        let rx = self
-            .shared
-            .submit(self.task, self.width, Payload::Window(rows), opts)?;
+        for row in rows.iter() {
+            self.check_width(row)?;
+        }
+        let rx = self.shared.submit(self.task, Payload::Window(rows), opts)?;
         Ok(PendingWindow { rx })
     }
 
     /// Enqueues one sample with default options and returns a [`Pending`]
     /// ticket — the pipelined client path: keeping a window of outstanding
     /// requests in flight is what lets the pool form deep batches (a
-    /// strictly synchronous caller never queues more than one). The row
-    /// travels to the worker as it is, and comes back to be freed on this
-    /// thread when the answer is collected.
+    /// strictly synchronous caller never queues more than one).
+    ///
+    /// The float row never leaves this thread: after the width check it is
+    /// packed into its sign bits here, with the kernel the plan's
+    /// [`Step::Pack`](rbnn_graph::Step::Pack) uses, and dropped. Only the
+    /// `width.div_ceil(64)` packed words (56 bytes for a 408-wide model)
+    /// travel to the worker, and they come back through the reply slot to
+    /// be freed on this thread when the answer is collected.
+    ///
+    /// Fails fast, queuing nothing, with [`ServeError::FeatureWidth`],
+    /// [`ServeError::Overloaded`] or [`ServeError::ShuttingDown`] as
+    /// [`submit`](Self::submit) does.
     pub fn enqueue(&self, features: Vec<f32>) -> Result<Pending, ServeError> {
-        let rx = self.shared.submit(
-            self.task,
-            self.width,
-            Payload::One(features),
-            &SubmitOptions::default(),
-        )?;
+        self.check_width(&features)?;
+        let mut packed = vec![0; self.width.div_ceil(64)];
+        pack_signs_into(&features, &mut packed);
+        drop(features);
+        let rx = self
+            .shared
+            .submit(self.task, Payload::One(packed), &SubmitOptions::default())?;
         Ok(Pending { rx })
+    }
+
+    /// Refuses a sample whose width is not the bound model's.
+    fn check_width(&self, row: &[f32]) -> Result<(), ServeError> {
+        if row.len() != self.width {
+            return Err(ServeError::FeatureWidth {
+                expected: self.width,
+                got: row.len(),
+            });
+        }
+        Ok(())
     }
 
     /// [`submit`](Self::submit) with default options: a zero-copy
@@ -742,22 +763,47 @@ impl PlanState {
         }
     }
 
-    /// Replays the cached plan over one batch on `engine`, returning the
-    /// batch's logits (row-major, `rows.len() × out_features`, a view of
-    /// the plan's own logits buffer) and the PCSA senses consumed (zero in
-    /// software).
-    fn replay(&mut self, engine: &mut WorkerEngine, rows: &[&[f32]]) -> (&[f32], u64) {
-        let n = rows.len();
+    /// Gathers `task`'s pending requests in `batch`, in order, straight
+    /// into the plan's packed input region: a single sample's words are
+    /// copied as the client packed them, a window's float rows are packed
+    /// here with the kernel [`Step::Pack`](rbnn_graph::Step::Pack) uses.
+    /// Either way the fused steps read one representation, and nothing is
+    /// allocated.
+    fn gather(&mut self, batch: &[Request], task: ServeTask) {
+        let input = self.plan.input();
+        let arena = self.buffers.arena_mut();
+        let mut i = 0;
+        for request in batch.iter().filter(|r| pending_for(r, task)) {
+            match &request.payload {
+                Payload::One(words) => {
+                    input.row_mut(arena, i).copy_from_slice(words);
+                    i += 1;
+                }
+                Payload::Window(rows) => {
+                    for row in rows.iter() {
+                        pack_signs_into(row, input.row_mut(arena, i));
+                        i += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Replays the cached plan's fused steps over the first `n` gathered
+    /// rows on `engine`, returning the batch's logits (row-major,
+    /// `n × out_features`, a view of the plan's own logits buffer) and the
+    /// PCSA senses consumed (zero in software).
+    fn replay(&mut self, engine: &mut WorkerEngine, n: usize) -> (&[f32], u64) {
         let classes = self.plan.out_features();
         let out = &mut self.logits[..n * classes];
         let senses = match engine {
             WorkerEngine::Software => {
-                self.plan.replay_rows(rows, &mut self.buffers, out);
+                self.plan.replay_packed(n, &mut self.buffers, out);
                 0
             }
             WorkerEngine::Rram(e) => {
                 let before = e.stats().senses;
-                e.replay_plan(&self.plan, rows, &mut self.buffers, out);
+                e.replay_packed(&self.plan, n, &mut self.buffers, out);
                 e.stats().senses - before
             }
         };
@@ -950,9 +996,9 @@ const WORKER_TICK: Duration = Duration::from_millis(25);
 /// ticking every [`WORKER_TICK`] even when idle so supervision (heartbeat,
 /// backoff-elapsed respawns) keeps running without traffic.
 ///
-/// The batch buffer and the row-gather scratch live here and are reused
-/// for every batch, so forming and gathering a batch allocates nothing in
-/// steady state.
+/// The batch buffer lives here and is reused for every batch, so forming
+/// a batch allocates nothing in steady state (gathering writes into the
+/// replica's plan buffers).
 ///
 /// This is a panic-freedom zone (see `analysis.toml`): a dying worker
 /// silently shrinks the pool, so nothing in the loop body may unwind —
@@ -960,9 +1006,6 @@ const WORKER_TICK: Duration = Duration::from_millis(25);
 fn worker_loop(shared: &Shared, worker_idx: usize, replicas: &mut Replicas, batcher: &mut Batcher) {
     let max_batch = batcher.policy().max_batch;
     let mut batch: Vec<Request> = Vec::with_capacity(max_batch);
-    let mut scratch = RowScratch {
-        rows: Vec::with_capacity(max_batch),
-    };
     loop {
         shared.supervisor.heartbeat(worker_idx);
         respawn_due_replicas(shared, worker_idx, replicas);
@@ -981,9 +1024,9 @@ fn worker_loop(shared: &Shared, worker_idx: usize, replicas: &mut Replicas, batc
             break;
         }
         if !batch.is_empty() {
-            serve_batch(shared, worker_idx, replicas, &mut batch, &mut scratch);
-            // Only requests answered with an error still own their rows;
-            // the rest handed theirs back to their clients.
+            serve_batch(shared, worker_idx, replicas, &mut batch);
+            // Only requests answered with an error still own their
+            // payloads; the rest handed theirs back to their clients.
             batch.clear();
         }
     }
@@ -1019,36 +1062,6 @@ fn try_respawn(shared: &Shared, worker_idx: usize, task: ServeTask, replica: &mu
     }
 }
 
-/// A worker's reusable storage for one task group's gathered row slices.
-///
-/// The slices borrow the current batch, which the worker refills between
-/// batches, so the vector cannot keep its element lifetime across them;
-/// [`RowScratch::lend`] and [`RowScratch::keep`] move its allocation
-/// between lifetimes instead.
-struct RowScratch {
-    rows: Vec<&'static [f32]>,
-}
-
-impl RowScratch {
-    /// The (empty) gather vector for one task group.
-    fn lend<'a>(&mut self) -> Vec<&'a [f32]> {
-        relifetime(std::mem::take(&mut self.rows))
-    }
-
-    /// Takes the gather vector back for the next group.
-    fn keep(&mut self, rows: Vec<&[f32]>) {
-        self.rows = relifetime(rows);
-    }
-}
-
-/// Empties `rows` and re-types it for another borrow lifetime, keeping its
-/// allocation: a collect from a vector's own `IntoIter` into an element
-/// type of the same layout reuses the buffer in place.
-fn relifetime<'b>(mut rows: Vec<&[f32]>) -> Vec<&'b [f32]> {
-    rows.clear();
-    rows.into_iter().map(|_| -> &'b [f32] { &[] }).collect()
-}
-
 /// Whether `request` belongs to `task`'s group and is still unanswered
 /// (expired and failed requests are answered in place).
 fn pending_for(request: &Request, task: ServeTask) -> bool {
@@ -1082,15 +1095,10 @@ fn check_classes(network: &BinaryNetwork) -> Result<(), ServeError> {
 ///
 /// Zero-alloc zone (see `analysis.toml`): a single-sample answer is one
 /// [`Prediction`], logits inline, moved into the reply slot, and the
-/// request's rows are handed back to the client; the only allocation is a
-/// window's prediction list, built by [`window_predictions`].
-fn serve_batch(
-    shared: &Shared,
-    worker_idx: usize,
-    replicas: &mut Replicas,
-    batch: &mut [Request],
-    scratch: &mut RowScratch,
-) {
+/// request's payload (its packed row, or its window) is handed back to the
+/// client; the only allocation is a window's prediction list, built by
+/// [`window_predictions`].
+fn serve_batch(shared: &Shared, worker_idx: usize, replicas: &mut Replicas, batch: &mut [Request]) {
     let now = Instant::now();
     for request in batch.iter_mut() {
         // Deadline check happens *before* the engine sees the request: an
@@ -1137,19 +1145,16 @@ fn serve_batch(
         let plan = &mut replica.plan;
         let network = &replica.spec.network;
         let classes = network.out_features();
-        let mut rows = scratch.lend();
-        rows.extend(
-            batch
-                .iter()
-                .filter(|r| pending_for(r, task))
-                .flat_map(|r| r.payload.rows().iter().map(Vec::as_slice)),
-        );
-        let samples = rows.len();
+        let samples = batch
+            .iter()
+            .filter(|r| pending_for(r, task))
+            .map(|r| r.payload.samples())
+            .sum();
         // Dispatch stamp: the batch is formed and this task group is
         // handed to the engine. Everything before is queue wait (+linger),
         // everything after is service.
         let dispatched = Instant::now();
-        let gathered: &[&[f32]] = &rows;
+        let in_batch: &[Request] = batch;
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
             // Moved, not reborrowed, so the logits can outlive the closure.
             let plan = plan;
@@ -1160,12 +1165,13 @@ fn serve_batch(
                 Some(ChaosEvent::Drift { cycles }) => engine.age(cycles),
                 None => {}
             }
-            Ok(dispatch_rows(engine, network, plan, gathered))
+            Ok(dispatch_rows(
+                engine, network, plan, in_batch, task, samples,
+            ))
         }));
         // Answer stamp: the group's replay returned. This one clock read
         // ends every request's latency and the group's service time.
         let answered = Instant::now();
-        scratch.keep(rows);
         let (logits, senses) = match outcome {
             Ok(Ok(result)) => result,
             Ok(Err(())) => {
@@ -1201,7 +1207,7 @@ fn serve_batch(
         let mut offset = 0usize;
         let pending = batch.iter_mut().filter(|r| pending_for(r, task));
         for (ordinal, request) in (group.first()..).zip(pending) {
-            let n = request.payload.rows().len();
+            let n = request.payload.samples();
             let out = logits
                 .get(offset * classes..(offset + n) * classes)
                 .unwrap_or_default();
@@ -1268,26 +1274,29 @@ fn window_predictions(logits: &[f32], classes: usize) -> Option<Vec<Prediction>>
 /// never recompiled again).
 const MIN_PLAN_BATCH: usize = 16;
 
-/// Evaluates one task group by replaying the replica's cached
-/// [`PlanState`] — compiled here on first use (or when the batch outgrows
-/// its capacity), then reused with zero per-request planning or
-/// allocation. Returns a view of the plan's logits buffer. Replay is
-/// bitwise-equal to the single-sample oracle (locked by the conformance
-/// oracle's serve and plan paths).
+/// Evaluates `task`'s group of `samples` samples in `batch` on the
+/// replica's cached [`PlanState`] — compiled here on first use (or when
+/// the group outgrows its capacity), then reused with zero per-request
+/// planning or allocation: the group is gathered into the plan's packed
+/// input region and the fused steps replay over it. Returns a view of the
+/// plan's logits buffer. Replay is bitwise-equal to the single-sample
+/// oracle (locked by the conformance oracle's serve and plan paths).
 fn dispatch_rows<'p>(
     engine: &mut WorkerEngine,
     network: &BinaryNetwork,
     plan: &'p mut Option<PlanState>,
-    rows: &[&[f32]],
+    batch: &[Request],
+    task: ServeTask,
+    samples: usize,
 ) -> (&'p [f32], u64) {
-    let n = rows.len();
-    if plan.as_ref().is_some_and(|p| p.plan.max_batch() < n) {
+    if plan.as_ref().is_some_and(|p| p.plan.max_batch() < samples) {
         *plan = None;
     }
-    plan.get_or_insert_with(|| {
-        PlanState::compile(network, n.next_power_of_two().max(MIN_PLAN_BATCH))
-    })
-    .replay(engine, rows)
+    let state = plan.get_or_insert_with(|| {
+        PlanState::compile(network, samples.next_power_of_two().max(MIN_PLAN_BATCH))
+    });
+    state.gather(batch, task);
+    state.replay(engine, samples)
 }
 
 /// Adopts a hot-swapped model ([`ServeHandle::swap_model`]): when the
@@ -1321,7 +1330,7 @@ fn adopt_model(shared: &Shared, worker_idx: usize, task: ServeTask, replica: &mu
 }
 
 /// Answers every still-pending request of `task`'s group with `error`;
-/// their rows are dropped with the batch. A client that already gave up
+/// their payloads are dropped with the batch. A client that already gave up
 /// (dropped its ticket) is not an error.
 fn fail_group(batch: &mut [Request], task: ServeTask, error: ServeError) {
     for request in batch.iter_mut().filter(|r| pending_for(r, task)) {

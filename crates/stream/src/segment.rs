@@ -87,16 +87,6 @@ impl Segmenter {
         &self.cfg
     }
 
-    /// Windows emitted so far.
-    pub fn emitted(&self) -> u64 {
-        self.emitted
-    }
-
-    /// Frames currently buffered (waiting for a full window).
-    pub fn buffered_frames(&self) -> usize {
-        self.buf.len() / self.cfg.channels
-    }
-
     /// Feeds `frames` (channel-interleaved; length must be a multiple of
     /// `channels`) and invokes `emit` once per completed window with the
     /// window's interleaved `window × channels` samples.

@@ -129,11 +129,6 @@ impl Session {
         self.seg.config().channels
     }
 
-    /// Windows emitted so far.
-    pub fn windows_emitted(&self) -> u64 {
-        self.seg.emitted()
-    }
-
     /// Feeds one chunk of channel-interleaved frames; returns the
     /// classifier-ready windows it completed (possibly none while the
     /// buffer fills, several for a large chunk).

@@ -345,23 +345,6 @@ impl Tensor {
         }
     }
 
-    /// In-place variant of [`reshape`](Self::reshape); avoids the copy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the element counts differ.
-    pub fn reshape_in_place(&mut self, shape: impl Into<Shape>) {
-        let shape = shape.into();
-        assert_eq!(
-            shape.numel(),
-            self.numel(),
-            "cannot reshape {} elements into {}",
-            self.numel(),
-            shape
-        );
-        self.shape = shape;
-    }
-
     /// Transpose of a 2-D tensor.
     ///
     /// # Panics
@@ -425,13 +408,6 @@ impl Tensor {
         assert_eq!(self.shape, other.shape, "add_scaled: shape mismatch");
         for (a, &b) in self.data.iter_mut().zip(&other.data) {
             *a += b * scale;
-        }
-    }
-
-    /// Multiplies every element by `s`, in place.
-    pub fn scale_in_place(&mut self, s: f32) {
-        for x in &mut self.data {
-            *x *= s;
         }
     }
 

@@ -1,7 +1,9 @@
 //! Served == direct on adversarial rows: NaN (either sign), ±inf, ±0.0,
 //! subnormals and mixes of them, sent through both request shapes
-//! (`TaskClient::enqueue`, one row; `TaskClient::submit`, a window) on a
-//! software pool and on a noise-free RRAM pool.
+//! (`TaskClient::enqueue`, one row whose sign bits the client packs;
+//! `TaskClient::submit`, a window of float rows the worker packs) on a
+//! software pool and on a noise-free RRAM pool, each shape on its own and
+//! both mixed in one pipelined dispatch.
 //!
 //! Every served logit must equal `BinaryNetwork::logits` bit for bit
 //! (`f32::to_bits`), and the binarization rule (`sign_bit`: `x >= 0.0`,
@@ -15,7 +17,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rbnn_rram::EngineConfig;
 use rbnn_serve::{
-    demo_network, Backend, ModelRegistry, Prediction, ServeConfig, ServeTask, Server, SubmitOptions,
+    demo_network, Backend, ModelRegistry, Pending, PendingWindow, Prediction, ServeConfig,
+    ServeTask, Server, SubmitOptions,
 };
 
 const DIMS: [usize; 3] = [408, 75, 2];
@@ -138,6 +141,83 @@ fn serve_both_ways(backend: Backend, rows: &[Vec<f32>]) -> Vec<Vec<u32>> {
     singles.iter().map(|p| bits(&p.logits)).collect()
 }
 
+/// Rows per window in the mixed dispatch.
+const WINDOW_ROWS: usize = 3;
+
+/// Most pipelined bursts [`serve_mixed`] sends while waiting for the lone
+/// worker to merge a packed single and a float window into one dispatch.
+const MIXED_ROUNDS: usize = 10;
+
+/// Serves `rows` on one worker as a pipelined burst that alternates packed
+/// singles (`enqueue`) with float windows (`submit`) of the same task, and
+/// checks every answer, collected in submission order, bitwise against the
+/// network's own logits. Bursts repeat until the worker has merged at
+/// least one single with a window in one dispatch.
+fn serve_mixed(backend: Backend, rows: &[Vec<f32>]) {
+    enum Ticket {
+        One(usize, Pending),
+        Window(Vec<usize>, PendingWindow),
+    }
+    let net = demo_network(&DIMS, 71);
+    let mut registry = ModelRegistry::new();
+    registry.insert(ServeTask::Ecg, net.clone(), EngineConfig::noise_free(71));
+    let server = Server::start(
+        &registry,
+        &ServeConfig {
+            workers: 1,
+            backend,
+            ..ServeConfig::default()
+        },
+    );
+    let client = server.handle().client(ServeTask::Ecg).expect("registered");
+    let direct: Vec<Vec<u32>> = rows.iter().map(|row| bits(&net.logits(row))).collect();
+    let check = |i: usize, served: &Prediction, what: &str| {
+        assert_eq!(
+            bits(&served.logits),
+            direct[i],
+            "{backend:?} mixed dispatch: {what} row {i} differs from direct logits"
+        );
+    };
+    let mut requests = 0u64;
+    for _ in 0..MIXED_ROUNDS {
+        let tickets: Vec<Ticket> = (0..rows.len())
+            .flat_map(|k| {
+                let window: Vec<usize> = (k..k + WINDOW_ROWS).map(|i| i % rows.len()).collect();
+                let window_rows = window.iter().map(|&i| rows[i].clone()).collect();
+                let single = client.enqueue(rows[k].clone()).expect("admitted");
+                let shared = client
+                    .submit(Arc::new(window_rows), &SubmitOptions::default())
+                    .expect("admitted");
+                [Ticket::One(k, single), Ticket::Window(window, shared)]
+            })
+            .collect();
+        requests += tickets.len() as u64;
+        for ticket in tickets {
+            match ticket {
+                Ticket::One(i, pending) => check(i, &pending.wait().expect("served"), "single"),
+                Ticket::Window(window, pending) => {
+                    let served = pending.wait().expect("served");
+                    assert_eq!(served.len(), window.len());
+                    for (&i, prediction) in window.iter().zip(&served) {
+                        check(i, prediction, "window");
+                    }
+                }
+            }
+        }
+        // Fewer dispatches than requests: some dispatch held two or more
+        // consecutive requests, so it mixed a single and a window.
+        if server.stats().engines[0].batches < requests {
+            break;
+        }
+    }
+    let snap = server.shutdown();
+    assert_eq!(snap.completed, requests);
+    assert!(
+        snap.engines[0].batches < requests,
+        "{backend:?}: {requests} pipelined requests never merged into one dispatch"
+    );
+}
+
 #[test]
 fn adversarial_rows_serve_bitwise_equal_to_direct_on_software_and_rram() {
     let mut rng = StdRng::seed_from_u64(71);
@@ -159,5 +239,6 @@ fn adversarial_rows_serve_bitwise_equal_to_direct_on_software_and_rram() {
             }
         }
         assert_ne!(served[0], served[PLUS.len()], "+1 and −1 rows must differ");
+        serve_mixed(backend, &rows);
     }
 }

@@ -1,13 +1,17 @@
-//! Runtime proof of the serve worker's allocation budget: a counting
-//! global allocator shows that, in steady state,
+//! Runtime proof of the serve worker's allocation budget and of the reply
+//! slot's hand-back: a counting global allocator shows that, in steady
+//! state,
 //!
 //! * a worker merging pipelined single-sample requests into full batches
-//!   neither allocates nor makes its clients' buffers its own, and each
-//!   `enqueue` + `wait` costs the submitting thread two allocations (its
-//!   row and the reply slot);
+//!   neither allocates nor frees anything: no float row reaches it (the
+//!   client packs each row's sign bits and frees the row before
+//!   queuing), and the packed row and the reply slot go back to the
+//!   client, which frees them. Each `enqueue` + `wait` costs the
+//!   submitting thread three allocations: its float row, the packed row
+//!   and the reply slot;
 //! * a worker serving pipelined 64-row shared windows makes exactly one
 //!   allocation per window, the answer's `Vec<Prediction>` (each
-//!   prediction holds its logits inline).
+//!   prediction holds its logits inline), and frees nothing.
 //!
 //! The counts are process-wide, so this binary holds exactly one test,
 //! which runs both phases one after the other.
@@ -28,14 +32,17 @@ use rbnn_serve::{
     Prediction, ServeConfig, ServeTask, Server, TaskClient,
 };
 
-/// Counts every allocation (fresh, zeroed or grown) process-wide and per
-/// thread, then defers to the system allocator.
+/// Counts every allocation (fresh, zeroed or grown) and every
+/// deallocation, process-wide and per thread, then defers to the system
+/// allocator.
 struct Counting;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static FREES: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static THREAD_FREES: Cell<u64> = const { Cell::new(0) };
 }
 
 fn count() {
@@ -48,9 +55,16 @@ fn count() {
     let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
 }
 
+fn count_free() {
+    // Relaxed: as in `count`; a worker's free of a request's memory
+    // happens before that request's answer reaches the test.
+    FREES.fetch_add(1, Ordering::Relaxed);
+    let _ = THREAD_FREES.try_with(|n| n.set(n.get() + 1));
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; counting touches only an atomic and a
-// const-initialised thread-local `Cell`, neither of which allocates.
+// upholds the `GlobalAlloc` contract; counting touches only atomics and
+// const-initialised thread-local `Cell`s, none of which allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();
@@ -72,6 +86,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_free();
         // SAFETY: `ptr` came from `System` through this allocator, with
         // `layout`.
         unsafe { System.dealloc(ptr, layout) }
@@ -81,11 +96,39 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// (allocations process-wide, allocations on the calling thread).
-fn counts() -> (u64, u64) {
-    // Relaxed: see `count`.
-    let total = ALLOCS.load(Ordering::Relaxed);
-    (total, THREAD_ALLOCS.with(Cell::get))
+/// Allocation and deallocation counts at one instant.
+#[derive(Clone, Copy)]
+struct Counts {
+    /// Allocations process-wide.
+    allocs: u64,
+    /// Allocations on the calling thread.
+    my_allocs: u64,
+    /// Deallocations process-wide.
+    frees: u64,
+    /// Deallocations on the calling thread.
+    my_frees: u64,
+}
+
+impl Counts {
+    fn now() -> Self {
+        // Relaxed: see `count`.
+        Counts {
+            allocs: ALLOCS.load(Ordering::Relaxed),
+            my_allocs: THREAD_ALLOCS.with(Cell::get),
+            frees: FREES.load(Ordering::Relaxed),
+            my_frees: THREAD_FREES.with(Cell::get),
+        }
+    }
+
+    /// (allocations on the calling thread, allocations elsewhere,
+    /// deallocations elsewhere) since `before`.
+    fn since(before: Counts) -> (u64, u64, u64) {
+        let after = Counts::now();
+        let mine = after.my_allocs - before.my_allocs;
+        let elsewhere = (after.allocs - before.allocs) - mine;
+        let freed_elsewhere = (after.frees - before.frees) - (after.my_frees - before.my_frees);
+        (mine, elsewhere, freed_elsewhere)
+    }
 }
 
 const DIMS: [usize; 3] = [408, 75, 2];
@@ -136,7 +179,7 @@ fn bitwise(prediction: &Prediction, oracle: &[f32]) -> bool {
 /// more submissions: each step collects the oldest answer, checks it
 /// bitwise against the oracle, and submits a fresh row of the caller's
 /// own. Allocates only what the serve path itself makes the caller
-/// allocate (the row and the reply slot).
+/// allocate (the float row, the packed row and the reply slot).
 fn drive(
     client: &TaskClient,
     in_flight: &mut VecDeque<(usize, Pending)>,
@@ -176,16 +219,7 @@ fn drive_windows(
 ) {
     for _ in 0..requests {
         if in_flight.len() == WINDOWS_IN_FLIGHT {
-            let (i, pending) = in_flight.pop_front().expect("window is full");
-            let predictions = pending.wait().expect("served");
-            assert_eq!(predictions.len(), WINDOW_ROWS);
-            assert!(
-                predictions
-                    .iter()
-                    .zip(&oracle[i])
-                    .all(|(p, o)| bitwise(p, o)),
-                "served window logits differ from the oracle"
-            );
+            collect_window(in_flight, oracle);
         }
         let i = *next % windows.len();
         *next += 1;
@@ -194,6 +228,21 @@ fn drive_windows(
             .expect("admitted");
         in_flight.push_back((i, pending));
     }
+}
+
+/// Collects the oldest outstanding window and checks every row bitwise
+/// against the oracle.
+fn collect_window(in_flight: &mut VecDeque<(usize, PendingWindow)>, oracle: &[Vec<Vec<f32>>]) {
+    let (i, pending) = in_flight.pop_front().expect("a window is outstanding");
+    let predictions = pending.wait().expect("served");
+    assert_eq!(predictions.len(), WINDOW_ROWS);
+    assert!(
+        predictions
+            .iter()
+            .zip(&oracle[i])
+            .all(|(p, o)| bitwise(p, o)),
+        "served window logits differ from the oracle"
+    );
 }
 
 #[test]
@@ -226,26 +275,29 @@ fn steady_state_single_sample_serving_allocates_only_on_the_submitting_thread() 
     }
     assert!(warm, "pipelined requests never formed full batches");
 
-    let (total_before, mine_before) = counts();
+    let before = Counts::now();
     drive(&client, &mut in_flight, &rows, &oracle, &mut next, MEASURED);
-    let (total_after, mine_after) = counts();
+    let (mine, elsewhere, freed_elsewhere) = Counts::since(before);
 
-    let mine = mine_after - mine_before;
-    let elsewhere = (total_after - total_before) - mine;
     assert_eq!(
         elsewhere, 0,
         "{elsewhere} allocations off the submitting thread over {MEASURED} requests \
          (the worker must allocate nothing per single-sample request)"
     );
-    // The caller's own feature `Vec` and the reply slot — plus the odd
-    // growth of the queue's lane, which the pushing thread pays when the
-    // queue holds more requests than it ever has (a lane doubles at most
-    // log2(4096) = 12 times in a server's life). The prediction, logits
-    // inline, costs nothing.
+    assert_eq!(
+        freed_elsewhere, 0,
+        "{freed_elsewhere} deallocations off the submitting thread over {MEASURED} \
+         requests (packed rows and reply slots must go back to the client)"
+    );
+    // The caller's own feature `Vec`, the packed row `enqueue` makes from
+    // it and the reply slot — plus the odd growth of the queue's lane,
+    // which the pushing thread pays when the queue holds more requests
+    // than it ever has (a lane doubles at most log2(4096) = 12 times in a
+    // server's life). The prediction, logits inline, costs nothing.
     assert!(
-        mine <= 2 * MEASURED as u64 + LANE_GROWTHS,
+        mine <= 3 * MEASURED as u64 + LANE_GROWTHS,
         "{mine} allocations on the submitting thread over {MEASURED} enqueue + wait \
-         ({:.2} per request, at most 2 expected)",
+         ({:.2} per request, at most 3 expected)",
         mine as f64 / MEASURED as f64
     );
 
@@ -274,8 +326,8 @@ fn steady_state_single_sample_serving_allocates_only_on_the_submitting_thread() 
         .collect();
     let mut in_flight = VecDeque::with_capacity(WINDOWS_IN_FLIGHT);
     let mut next = 0;
-    // Warm-up: the first windows compile the plan and grow the gather
-    // scratch to a window's rows; both stay at that size from then on.
+    // Warm-up: the first windows compile the plan, which stays at a
+    // window's size from then on.
     drive_windows(
         &client,
         &mut in_flight,
@@ -284,8 +336,13 @@ fn steady_state_single_sample_serving_allocates_only_on_the_submitting_thread() 
         &mut next,
         64,
     );
+    // The measured span starts and ends with no window outstanding, so
+    // the worker answers exactly the windows submitted inside it.
+    while !in_flight.is_empty() {
+        collect_window(&mut in_flight, &window_oracle);
+    }
 
-    let (total_before, mine_before) = counts();
+    let before = Counts::now();
     drive_windows(
         &client,
         &mut in_flight,
@@ -294,16 +351,23 @@ fn steady_state_single_sample_serving_allocates_only_on_the_submitting_thread() 
         &mut next,
         MEASURED_WINDOWS,
     );
-    let (total_after, mine_after) = counts();
+    while !in_flight.is_empty() {
+        collect_window(&mut in_flight, &window_oracle);
+    }
+    let (mine, elsewhere, freed_elsewhere) = Counts::since(before);
 
-    let mine = mine_after - mine_before;
-    let elsewhere = (total_after - total_before) - mine;
     // The worker builds each answer's `Vec<Prediction>` and nothing else.
-    assert!(
-        elsewhere <= MEASURED_WINDOWS as u64,
+    assert_eq!(
+        elsewhere,
+        MEASURED_WINDOWS as u64,
         "{elsewhere} allocations off the submitting thread over {MEASURED_WINDOWS} \
-         {WINDOW_ROWS}-row windows ({:.2} per window, at most 1 expected)",
+         {WINDOW_ROWS}-row windows ({:.2} per window, exactly 1 expected)",
         elsewhere as f64 / MEASURED_WINDOWS as f64
+    );
+    assert_eq!(
+        freed_elsewhere, 0,
+        "{freed_elsewhere} deallocations off the submitting thread over \
+         {MEASURED_WINDOWS} windows (answers and reply slots are the client's to free)"
     );
     // The reply slot, plus the queue lane's lifetime growths.
     assert!(
@@ -313,13 +377,6 @@ fn steady_state_single_sample_serving_allocates_only_on_the_submitting_thread() 
         mine as f64 / MEASURED_WINDOWS as f64
     );
 
-    for (i, pending) in in_flight {
-        let predictions = pending.wait().expect("served");
-        assert!(predictions
-            .iter()
-            .zip(&window_oracle[i])
-            .all(|(p, o)| bitwise(p, o)));
-    }
     let snap = server.shutdown();
     assert_eq!(snap.completed, next as u64);
     assert_eq!(snap.rejected + snap.expired + snap.transient, 0);
