@@ -12,7 +12,7 @@
 //!    Rust lexer (no `syn`; the workspace builds offline);
 //! 2. [`model`] — a lightweight item/block visitor extracting function
 //!    spans, `#[cfg(test)]` regions and comment adjacency;
-//! 3. [`lints`] — the six lint families RA0001–RA0007 (see the module docs
+//! 3. [`lints`] — the seven lint families RA0001–RA0007 (see the module docs
 //!    for the full table);
 //! 4. [`config`] — the checked-in `analysis.toml` zone map: panic-freedom
 //!    zones, zero-alloc zones, the `SeqCst` allowlist and the (empty)

@@ -1,4 +1,4 @@
-//! The six lint families and the per-file checking pass.
+//! The seven lint families and the per-file checking pass.
 //!
 //! | id     | name                  | invariant enforced                                      |
 //! |--------|-----------------------|---------------------------------------------------------|

@@ -1,5 +1,5 @@
 //! End-to-end corpus test: the engine must flag every seeded violation in
-//! `fixtures/bad/` (all six lint families) and stay silent on the
+//! `fixtures/bad/` (all seven lint families) and stay silent on the
 //! `fixtures/good/` mirror, under the same `fixtures.toml` policy.
 
 use std::collections::BTreeSet;

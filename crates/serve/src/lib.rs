@@ -10,11 +10,13 @@
 //!
 //! 1. a client submits one feature vector for a task
 //!    ([`TaskClient::enqueue`], which packs its sign bits on the client's
-//!    thread and queues only the packed words; [`TaskClient::classify`]
-//!    and [`ServeHandle::classify`] wrap it) or a shared window of them
-//!    ([`TaskClient::submit`], [`TaskClient::enqueue_shared`]); the
-//!    request is validated against the registered feature width and
-//!    enqueued on a bounded MPMC queue ([`queue::BoundedQueue`]) — a full
+//!    thread; [`TaskClient::classify`] and [`ServeHandle::classify`] wrap
+//!    it) or a shared window of them ([`TaskClient::submit`],
+//!    [`TaskClient::enqueue_shared`]); the request is validated against
+//!    the registered feature width, moved into its one-shot reply slot
+//!    (the submitting thread's spare slot, when it has one), and the
+//!    slot's worker half is enqueued on a bounded MPMC queue
+//!    ([`queue::BoundedQueue`]) — a full
 //!    queue sheds the request with [`ServeError::Overloaded`] under the
 //!    default [`AdmissionPolicy::Shed`], or blocks the caller
 //!    (backpressure) under [`AdmissionPolicy::Block`];
@@ -30,12 +32,14 @@
 //!    RRAM backend (deterministic senses short-circuit, marginal cells
 //!    stay Monte-Carlo) — on its own engine replica (replicas, not shared
 //!    engines: PCSA reads need `&mut self`);
-//! 4. each request's one-shot reply slot delivers its answer (the worker
-//!    wakes the client only if it is parked on the slot) together with
-//!    the request's payload (its packed row or its window), which the
-//!    client frees: a [`Prediction`] holds
-//!    its logits inline ([`Logits`]), so a single-sample answer costs the
-//!    worker no allocation and a window answer exactly one, its
+//! 4. the worker answers each request into its reply slot (waking the
+//!    client only if it is parked on the slot) and lets go of the slot;
+//!    the request's memory (its packed row or its window) never moves
+//!    and is never freed by the worker. The client frees the slot once it
+//!    collects the answer, or keeps it as its thread's spare, whose word
+//!    buffer its next single-sample request packs into. A [`Prediction`]
+//!    holds its logits inline ([`Logits`]), so a single-sample answer
+//!    costs the worker no allocation and a window answer exactly one, its
 //!    `Vec<Prediction>`; and the worker accounts each task group once in
 //!    [`ServerStats`] — one clock read when the replay returns, one
 //!    completion add, one bucket count per answer in the latency and

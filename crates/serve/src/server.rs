@@ -13,18 +13,21 @@
 //! lets go of it, then unparks the client only when the client is parked
 //! on it.
 //!
-//! Memory stays with the thread that made it. A single-sample request
-//! never ships its float row: [`TaskClient::enqueue`] packs the row's sign
-//! bits on the submitting thread, frees the row there, and queues the
-//! packed words with a reply slot. A window request ships its shared rows
-//! as they are. The worker reuses its batch buffer and plan buffers across
-//! batches, gathers each task group straight into the plan's packed input
-//! region (copying a single's words, packing a window's rows), and hands
-//! each request's payload back through the slot, so the client frees it.
-//! A [`Prediction`] holds its logits inline ([`Logits`]), so a
-//! single-sample answer costs the worker no allocation and an n-row window
-//! answer costs it exactly one, the `Vec<Prediction>`; on the success path
-//! the worker frees nothing (`tests/serve_alloc.rs` counts both).
+//! Memory stays with the thread that made it. A request lives in its
+//! reply slot ([`Job`]) and the queue carries only the slot's worker half.
+//! A single-sample request never ships its float row:
+//! [`TaskClient::enqueue`] packs the row's sign bits on the submitting
+//! thread into the word buffer of that thread's spare slot and frees the
+//! row there. A window request ships its shared rows as they are. The
+//! worker reuses its batch buffer and plan buffers across batches, gathers
+//! each task group straight into the plan's packed input region (copying
+//! a single's words, packing a window's rows), reads each job through the
+//! slot and never moves or frees it: the client frees it with the slot, or
+//! keeps the slot as its thread's spare for the next request. A
+//! [`Prediction`] holds its logits inline ([`Logits`]), so a single-sample
+//! answer costs the worker no allocation and an n-row window answer costs
+//! it exactly one, the `Vec<Prediction>`; the worker frees nothing
+//! (`tests/serve_alloc.rs` counts both).
 //!
 //! Resilience (see also [`crate::supervisor`]): admission is governed by
 //! [`AdmissionPolicy`] (load-shed by default, with priority lanes);
@@ -256,69 +259,76 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// The samples a request asks to classify: the sign bits of the one row
-/// [`TaskClient::enqueue`] was given, packed on the submitting thread, or
-/// the shared window [`TaskClient::submit`] was given, as it is. The worker
-/// copies the packed words (or packs the window's rows) into its plan's
-/// packed input region, and a successful answer hands the payload back to
-/// the client through the reply slot, so it is freed on the thread that
-/// allocated it.
-#[derive(Debug)]
-pub(crate) enum Payload {
-    /// One sample's sign bits, `width.div_ceil(64)` words in the plan's
-    /// input-row layout.
-    One(Vec<u64>),
-    /// A shared window of float samples.
-    Window(Arc<Vec<Vec<f32>>>),
-}
-
-impl Payload {
-    /// Samples the request carries.
-    fn samples(&self) -> usize {
-        match self {
-            Payload::One(_) => 1,
-            Payload::Window(rows) => rows.len(),
-        }
-    }
-}
-
-/// An empty single-sample payload: what a request keeps once its payload has
-/// been handed back (`Vec::new` does not allocate).
-impl Default for Payload {
-    fn default() -> Self {
-        Payload::One(Vec::new())
-    }
-}
-
-/// One queued inference request: one or more samples for one task.
+/// One inference request as its client submitted it: one or more samples
+/// for one task. It lives in the request's reply slot (see
+/// [`crate::reply`]) and is immutable while a worker holds the slot: the
+/// worker reads it through the slot's worker half until it answers, and
+/// the client frees it with the slot, or keeps the slot as its thread's
+/// spare for the next request.
 ///
 /// Multi-sample requests (client-side batching — e.g. a monitor shipping a
 /// window of heartbeats) share a single queue slot, reply slot and
 /// dispatch, so the whole per-request fixed cost amortizes over the
 /// window.
-///
-/// A worker answers a request in place inside its batch buffer: a
-/// successful answer moves the [`Payload`] into the reply slot (the client
-/// frees it), an error answer leaves it to be dropped with the request.
-struct Request {
-    task: ServeTask,
-    payload: Payload,
-    submitted: Instant,
+pub(crate) struct Job {
+    pub(crate) task: ServeTask,
+    /// A single sample's sign bits, `width.div_ceil(64)` words in the
+    /// plan's input-row layout, packed on the submitting thread; empty
+    /// for a window.
+    pub(crate) words: Vec<u64>,
+    /// A window request's shared float rows; `None` for a single sample.
+    pub(crate) rows: Option<Arc<Vec<Vec<f32>>>>,
+    pub(crate) submitted: Instant,
     /// Absolute expiry: a worker answers [`ServeError::DeadlineExceeded`]
     /// at dispatch instead of evaluating past this instant.
-    deadline: Option<Instant>,
+    pub(crate) deadline: Option<Instant>,
+}
+
+impl Job {
+    /// The samples the request asks to classify.
+    fn payload(&self) -> Payload<'_> {
+        match &self.rows {
+            Some(rows) => Payload::Window(rows),
+            None => Payload::One(&self.words),
+        }
+    }
+
+    /// Samples the request carries.
+    fn samples(&self) -> usize {
+        self.rows.as_ref().map_or(1, |rows| rows.len())
+    }
+}
+
+/// The samples a request asks to classify, as a worker reads them from its
+/// [`Job`]: the sign bits of the one row [`TaskClient::enqueue`] was given,
+/// packed on the submitting thread, or the shared window
+/// [`TaskClient::submit`] was given, as it is. The worker copies the packed
+/// words (or packs the window's rows) into its plan's packed input region;
+/// the memory stays the client's.
+enum Payload<'a> {
+    /// One sample's sign bits.
+    One(&'a [u64]),
+    /// A shared window of float samples.
+    Window(&'a [Vec<f32>]),
+}
+
+/// One queued request: the worker half of its reply slot, which holds the
+/// request's [`Job`] until the worker answers it in place inside its batch
+/// buffer.
+struct Request {
+    reply: ReplyTx,
     /// When a worker popped this request off the queue — stamped by the
     /// batcher's dequeue observer (only while telemetry is enabled), it
     /// separates queue wait from batching linger in span traces.
     dequeued: Option<Instant>,
-    reply: ReplyTx,
 }
 
 impl std::fmt::Debug for Request {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let job = self.reply.job();
         f.debug_struct("Request")
-            .field("task", &self.task)
-            .field("samples", &self.payload.samples())
+            .field("task", &job.map(|job| job.task))
+            .field("samples", &job.map(Job::samples))
             .finish()
     }
 }
@@ -382,8 +392,10 @@ impl Shared {
     }
 
     /// The one enqueue path every client API funnels through, once the
-    /// client has checked the payload's width: stamps the deadline, then
-    /// pushes onto the request's priority lane. Under
+    /// client has checked the samples' width: moves the request (a
+    /// single's packed `words`, or a window's `rows`) into a reply slot —
+    /// this thread's spare if it has one — stamping its submission and
+    /// deadline, then pushes onto the request's priority lane. Under
     /// [`AdmissionPolicy::Shed`] a full queue answers
     /// [`ServeError::Overloaded`], and an urgent push may evict the newest
     /// queued routine request (whose own reply slot receives `Overloaded`:
@@ -393,18 +405,21 @@ impl Shared {
     fn submit(
         &self,
         task: ServeTask,
-        payload: Payload,
+        words: Vec<u64>,
+        rows: Option<Arc<Vec<Vec<f32>>>>,
         opts: &SubmitOptions,
     ) -> Result<ReplyRx, ServeError> {
-        let (tx, rx) = reply::slot();
         let now = Instant::now();
-        let request = Request {
+        let (tx, rx) = reply::slot(Job {
             task,
-            payload,
+            words,
+            rows,
             submitted: now,
             deadline: opts.deadline.map(|d| now + d),
-            dequeued: None,
+        });
+        let request = Request {
             reply: tx,
+            dequeued: None,
         };
         let lane = opts.priority.lane();
         let outcome = match self.admission {
@@ -552,7 +567,9 @@ impl TaskClient {
         for row in rows.iter() {
             self.check_width(row)?;
         }
-        let rx = self.shared.submit(self.task, Payload::Window(rows), opts)?;
+        let rx = self
+            .shared
+            .submit(self.task, Vec::new(), Some(rows), opts)?;
         Ok(PendingWindow { rx })
     }
 
@@ -565,20 +582,23 @@ impl TaskClient {
     /// packed into its sign bits here, with the kernel the plan's
     /// [`Step::Pack`](rbnn_graph::Step::Pack) uses, and dropped. Only the
     /// `width.div_ceil(64)` packed words (56 bytes for a 408-wide model)
-    /// travel to the worker, and they come back through the reply slot to
-    /// be freed on this thread when the answer is collected.
+    /// reach the worker, read in place from the reply slot. They are
+    /// packed into the word buffer of this thread's spare slot — the last
+    /// it collected — so a thread that collects an answer before each new
+    /// request allocates neither a slot nor a packed row.
     ///
     /// Fails fast, queuing nothing, with [`ServeError::FeatureWidth`],
     /// [`ServeError::Overloaded`] or [`ServeError::ShuttingDown`] as
     /// [`submit`](Self::submit) does.
     pub fn enqueue(&self, features: Vec<f32>) -> Result<Pending, ServeError> {
         self.check_width(&features)?;
-        let mut packed = vec![0; self.width.div_ceil(64)];
-        pack_signs_into(&features, &mut packed);
+        let mut words = reply::spare_words();
+        words.resize(self.width.div_ceil(64), 0);
+        pack_signs_into(&features, &mut words);
         drop(features);
         let rx = self
             .shared
-            .submit(self.task, Payload::One(packed), &SubmitOptions::default())?;
+            .submit(self.task, words, None, &SubmitOptions::default())?;
         Ok(Pending { rx })
     }
 
@@ -773,8 +793,8 @@ impl PlanState {
         let input = self.plan.input();
         let arena = self.buffers.arena_mut();
         let mut i = 0;
-        for request in batch.iter().filter(|r| pending_for(r, task)) {
-            match &request.payload {
+        for job in group(batch, task) {
+            match job.payload() {
                 Payload::One(words) => {
                     input.row_mut(arena, i).copy_from_slice(words);
                     i += 1;
@@ -1025,8 +1045,8 @@ fn worker_loop(shared: &Shared, worker_idx: usize, replicas: &mut Replicas, batc
         }
         if !batch.is_empty() {
             serve_batch(shared, worker_idx, replicas, &mut batch);
-            // Only requests answered with an error still own their
-            // payloads; the rest handed theirs back to their clients.
+            // Every request is answered by now, so clearing drops only
+            // worker halves that have let go of their slots.
             batch.clear();
         }
     }
@@ -1063,9 +1083,18 @@ fn try_respawn(shared: &Shared, worker_idx: usize, task: ServeTask, replica: &mu
 }
 
 /// Whether `request` belongs to `task`'s group and is still unanswered
-/// (expired and failed requests are answered in place).
+/// (expired and failed requests are answered in place, which lets go of
+/// their jobs).
 fn pending_for(request: &Request, task: ServeTask) -> bool {
-    request.task == task && !request.reply.is_answered()
+    request.reply.job().is_some_and(|job| job.task == task)
+}
+
+/// The jobs of `task`'s still-unanswered requests in `batch`, in order.
+fn group(batch: &[Request], task: ServeTask) -> impl Iterator<Item = &Job> {
+    batch
+        .iter()
+        .filter_map(|request| request.reply.job())
+        .filter(move |job| job.task == task)
 }
 
 /// Refuses a model whose outputs do not fit a [`Prediction`]'s inline
@@ -1094,17 +1123,18 @@ fn check_classes(network: &BinaryNetwork) -> Result<(), ServeError> {
 /// other replica it holds — keeps serving.
 ///
 /// Zero-alloc zone (see `analysis.toml`): a single-sample answer is one
-/// [`Prediction`], logits inline, moved into the reply slot, and the
-/// request's payload (its packed row, or its window) is handed back to the
-/// client; the only allocation is a window's prediction list, built by
-/// [`window_predictions`].
+/// [`Prediction`], logits inline, moved into the reply slot; each job (a
+/// packed row, or a window) is read where it lies in its slot and stays
+/// there for the client; the only allocation is a window's prediction
+/// list, built by [`window_predictions`].
 fn serve_batch(shared: &Shared, worker_idx: usize, replicas: &mut Replicas, batch: &mut [Request]) {
     let now = Instant::now();
     for request in batch.iter_mut() {
         // Deadline check happens *before* the engine sees the request: an
         // expired answer is useless to the caller, so spending senses on
         // it would only add latency to everything queued behind it.
-        if request.deadline.is_some_and(|d| now >= d) {
+        let expired = request.reply.job().and_then(|job| job.deadline);
+        if expired.is_some_and(|d| now >= d) {
             shared.stats.record_expired();
             request.reply.fail(ServeError::DeadlineExceeded);
         }
@@ -1114,7 +1144,7 @@ fn serve_batch(shared: &Shared, worker_idx: usize, replicas: &mut Replicas, batc
     let mut senses_total = 0u64;
     let mut samples_total = 0usize;
     for (task, replica) in ServeTask::ALL.into_iter().zip(replicas.iter_mut()) {
-        if !batch.iter().any(|r| pending_for(r, task)) {
+        if group(batch, task).next().is_none() {
             continue;
         }
         // Submit validated the task, so a miss here means the replica
@@ -1145,11 +1175,7 @@ fn serve_batch(shared: &Shared, worker_idx: usize, replicas: &mut Replicas, batc
         let plan = &mut replica.plan;
         let network = &replica.spec.network;
         let classes = network.out_features();
-        let samples = batch
-            .iter()
-            .filter(|r| pending_for(r, task))
-            .map(|r| r.payload.samples())
-            .sum();
+        let samples = group(batch, task).map(Job::samples).sum();
         // Dispatch stamp: the batch is formed and this task group is
         // handed to the engine. Everything before is queue wait (+linger),
         // everything after is service.
@@ -1199,20 +1225,23 @@ fn serve_batch(shared: &Shared, worker_idx: usize, replicas: &mut Replicas, batc
         // span sampler knows each request's ordinal; each answer counts
         // its times in their buckets, and the group's sums and service
         // time land after the last answer.
-        let requests = batch.iter().filter(|r| pending_for(r, task)).count();
-        let mut group = shared
+        let requests = group(batch, task).count();
+        let mut tally = shared
             .stats
             .record_group(requests as u64, dispatched, answered);
         let service = answered.saturating_duration_since(dispatched);
         let mut offset = 0usize;
         let pending = batch.iter_mut().filter(|r| pending_for(r, task));
-        for (ordinal, request) in (group.first()..).zip(pending) {
-            let n = request.payload.samples();
+        for (ordinal, request) in (tally.first()..).zip(pending) {
+            let Some(job) = request.reply.job() else {
+                continue;
+            };
+            let (n, submitted) = (job.samples(), job.submitted);
             let out = logits
                 .get(offset * classes..(offset + n) * classes)
                 .unwrap_or_default();
             offset += n;
-            let reply = match request.payload {
+            let reply = match job.payload() {
                 Payload::One(_) => Prediction::from_row(out).map(Reply::One),
                 Payload::Window(_) => window_predictions(out, classes).map(Reply::Many),
             };
@@ -1227,14 +1256,12 @@ fn serve_batch(shared: &Shared, worker_idx: usize, replicas: &mut Replicas, batc
                 });
                 continue;
             };
-            request
-                .reply
-                .answer(reply, std::mem::take(&mut request.payload));
-            group.push(request.submitted);
+            request.reply.answer(reply);
+            tally.push(submitted);
             if ordinal % SPAN_SAMPLE_EVERY == 1 && rbnn_telemetry::enabled() {
                 if let Some(dequeued) = request.dequeued {
                     shared.spans.push(SpanRecord {
-                        queue_wait: dequeued.duration_since(request.submitted),
+                        queue_wait: dequeued.duration_since(submitted),
                         batch_wait: dispatched.duration_since(dequeued),
                         service,
                         samples: n,
@@ -1242,7 +1269,7 @@ fn serve_batch(shared: &Shared, worker_idx: usize, replicas: &mut Replicas, batc
                 }
             }
         }
-        group.flush();
+        tally.flush();
     }
     if samples_total > 0 {
         shared
@@ -1329,9 +1356,8 @@ fn adopt_model(shared: &Shared, worker_idx: usize, task: ServeTask, replica: &mu
     }
 }
 
-/// Answers every still-pending request of `task`'s group with `error`;
-/// their payloads are dropped with the batch. A client that already gave up
-/// (dropped its ticket) is not an error.
+/// Answers every still-pending request of `task`'s group with `error`.
+/// A client that already gave up (dropped its ticket) is not an error.
 fn fail_group(batch: &mut [Request], task: ServeTask, error: ServeError) {
     for request in batch.iter_mut().filter(|r| pending_for(r, task)) {
         request.reply.fail(error.clone());
